@@ -190,34 +190,61 @@ func BenchmarkQueueHandoff(b *testing.B) {
 }
 
 func TestShutdownReleasesGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
-	for i := 0; i < 50; i++ {
+	// Every cycle leaves daemons parked and processes that never
+	// started. The parked ones must end at Shutdown and the never-started
+	// ones hold no coroutine, so the only goroutines left behind are the
+	// idle list's coroutines.
+	const cycles, daemons, unstarted = 50, 4, 3
+	build := func() *Simulator {
 		s := New()
 		q := NewQueue[int]("work")
-		for d := 0; d < 4; d++ {
+		for d := 0; d < daemons; d++ {
 			s.GoDaemon(fmt.Sprintf("daemon%d", d), func(p *Proc) {
 				for {
 					q.Pop(p)
 				}
 			})
 		}
+		for u := 0; u < unstarted; u++ {
+			s.GoAfter("late", Second, func(p *Proc) {
+				t.Error("a process past the deadline started")
+			})
+		}
 		s.Go("app", func(p *Proc) {
 			q.Push(1)
 			p.Sleep(Microsecond)
 		})
-		if err := s.Run(); err != nil {
+		if err := s.RunUntil(Time(Millisecond)); err != nil {
 			t.Fatal(err)
+		}
+		return s
+	}
+	build().Shutdown() // warm the idle list
+	before, idleBefore := runtime.NumGoroutine(), idleCoroCount()
+	for i := 0; i < cycles; i++ {
+		s := build()
+		if got := s.LiveProcs(); got != daemons+unstarted {
+			t.Fatalf("cycle %d: %d live procs before Shutdown, want %d", i, got, daemons+unstarted)
 		}
 		s.Shutdown()
 		s.Shutdown() // idempotent
 	}
-	// Give exiting goroutines a moment to be accounted.
-	for i := 0; i < 100 && runtime.NumGoroutine() > before+10; i++ {
-		runtime.Gosched()
+	// A cycle hands back only the app's coroutine, and the next cycle
+	// takes it again.
+	idleAfter := idleCoroCount()
+	if idleAfter > idleBefore+1 {
+		t.Fatalf("idle list grew from %d to %d over %d cycles", idleBefore, idleAfter, cycles)
 	}
+	// Shutdown's teardown goroutines finish their Goexit after Shutdown
+	// returns; give them a moment to be accounted.
 	after := runtime.NumGoroutine()
-	if after > before+10 {
-		t.Fatalf("goroutines leaked across shutdowns: %d -> %d", before, after)
+	for deadline := time.Now().Add(5 * time.Second); after-before > idleAfter-idleBefore && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		after = runtime.NumGoroutine()
+	}
+	if after-before > idleAfter-idleBefore {
+		t.Fatalf("goroutines %d -> %d while the idle list went %d -> %d: coroutines leaked",
+			before, after, idleBefore, idleAfter)
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 // Simulator is a deterministic discrete-event scheduler.
 //
 // The zero value is not ready for use; call New. The scheduler itself runs
-// in the goroutine that calls Run; process goroutines run one at a time,
-// handing control back to the scheduler whenever they block on a kernel
-// primitive (Sleep, Queue.Pop, Resource.Acquire, Cond.Wait, ...).
+// in the goroutine that calls Run and resumes process coroutines one at a
+// time; each hands control back whenever it blocks on a kernel primitive
+// (Sleep, Queue.Pop, Resource.Acquire, Cond.Wait, ...).
 type Simulator struct {
 	now    Time
 	seq    uint64
@@ -34,11 +34,6 @@ type Simulator struct {
 	ready     []event
 	readyHead int
 
-	// yielded carries control back from a running process to the
-	// scheduler. Exactly one process may be between resume and yield at
-	// any moment, so an unbuffered channel suffices.
-	yielded chan struct{} // reset: keep; snap: keep — the handshake channel outlives runs
-
 	procs map[*Proc]struct{} // reset: keep — parked daemons survive a reset by design
 
 	fatal   error // first panic captured from a process; Reset refuses a failed sim
@@ -50,13 +45,13 @@ type Simulator struct {
 	// windowEnd is only meaningful inside runWindow; Reset rezeroes it.
 	group     *ShardGroup // reset: keep; snap: keep — construction identity
 	shard     int         // reset: keep; snap: keep — construction identity
-	windowEnd Time // snap: keep — only live inside runWindow; zero at any snapshot point
+	windowEnd Time        // snap: keep — only live inside runWindow; zero at any snapshot point
 
 	executed uint64 // events dispatched since New or Reset; snap: keep — Restore rezeroes it, the world snapshot records its own event count
 }
 
 // errKilled aborts a blocking call issued from a defer while Shutdown is
-// unwinding the goroutine.
+// unwinding the process.
 var errKilled = fmt.Errorf("sim: blocking call during Shutdown teardown")
 
 // New returns an empty simulator positioned at virtual time zero, using
@@ -70,10 +65,9 @@ func New() *Simulator {
 // only affects host-side speed.
 func NewWith(kind SchedulerKind) *Simulator {
 	s := &Simulator{
-		sched:   kind,
-		ready:   make([]event, 0, 64),
-		yielded: make(chan struct{}),
-		procs:   make(map[*Proc]struct{}),
+		sched: kind,
+		ready: make([]event, 0, 64),
+		procs: make(map[*Proc]struct{}),
 	}
 	if kind == SchedulerHeap {
 		s.heapQ.items = make([]event, 0, 128)
@@ -176,45 +170,11 @@ func (s *Simulator) GoDaemon(name string, body func(p *Proc)) *Proc {
 	return p
 }
 
-// GoAfter spawns a new process that starts d from now.
+// GoAfter spawns a new process that starts d from now. The process
+// takes a coroutine from the idle list when it is first dispatched.
 func (s *Simulator) GoAfter(name string, d Duration, body func(p *Proc)) *Proc {
-	p := &Proc{
-		sim:    s,
-		name:   name,
-		resume: make(chan struct{}),
-		dead:   make(chan struct{}),
-	}
+	p := &Proc{sim: s, name: name, body: body}
 	s.procs[p] = struct{}{}
-	go func() {
-		defer close(p.dead)
-		<-p.resume // wait for first dispatch
-		if s.killed {
-			return // released by Shutdown before ever starting
-		}
-		defer func() {
-			r := recover()
-			if s.killed {
-				// Shutdown is releasing this goroutine; the scheduler
-				// is not listening, so exit without the handshake.
-				return
-			}
-			if r != nil {
-				if s.fatal == nil {
-					if err, ok := r.(error); ok {
-						// Preserve typed panics (e.g. a runtime's
-						// global-exit) for errors.As at the caller.
-						s.fatal = fmt.Errorf("sim: process %q panicked: %w", p.name, err)
-					} else {
-						s.fatal = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
-					}
-				}
-			}
-			p.exited = true
-			delete(s.procs, p)
-			s.yielded <- struct{}{}
-		}()
-		body(p)
-	}()
 	if d < 0 {
 		d = 0
 	}
@@ -223,13 +183,21 @@ func (s *Simulator) GoAfter(name string, d Duration, body func(p *Proc)) *Proc {
 }
 
 // dispatch transfers control to p until it parks or exits. It must only be
-// called from scheduler context (inside an event callback).
+// called from scheduler context (inside an event callback). Once p's body
+// has returned its coroutine has yielded for the last time, so only then
+// may it go back to the idle list for another goroutine to resume.
 func (s *Simulator) dispatch(p *Proc) {
 	if p.exited {
 		return
 	}
-	p.resume <- struct{}{}
-	<-s.yielded
+	if p.co == nil {
+		p.co = bindCoro(p)
+	}
+	p.co.next()
+	if p.exited {
+		releaseCoro(p.co)
+		p.co = nil
+	}
 }
 
 // Run executes events until the queue drains or a process panics.
@@ -441,13 +409,15 @@ func (s *Simulator) assertQuiescent(op string) {
 	}
 }
 
-// Shutdown releases every parked process goroutine (daemons included) and
-// drops pending events, so a finished simulation's entire object graph —
+// Shutdown releases every parked process (daemons included) and drops
+// pending events, so a finished simulation's entire object graph —
 // window buffers, heaps, queues — becomes collectable. Harnesses that
 // build many simulators in one process (benchmarks, fuzzers) must call it
-// between instances or the parked goroutines pin their worlds' memory.
-// The simulator must not be running; after Shutdown it must not be used
-// except to read the clock.
+// between instances or the parked coroutines pin their worlds' memory.
+// Each parked process is resumed into a Goexit that runs its user
+// defers; its coroutine ends there. A process that never started just
+// drops. The simulator must not be running; after Shutdown it must not
+// be used except to read the clock.
 func (s *Simulator) Shutdown() {
 	if s.running {
 		panic("sim: Shutdown during Run")
@@ -458,13 +428,20 @@ func (s *Simulator) Shutdown() {
 	s.killed = true
 	//ntblint:ordered — teardown runs after the last observable event; release order is invisible
 	for p := range s.procs {
-		if !p.exited {
-			// Sequential teardown: each goroutine fully unwinds (its
-			// user defers may touch state shared with sibling
-			// processes) before the next is released.
-			p.resume <- struct{}{}
-			<-p.dead
+		if p.co == nil {
+			continue // never started
 		}
+		// iter.Pull re-raises the coroutine's Goexit in whoever called
+		// next, so resume it from a throwaway goroutine. Sequential
+		// teardown: each process fully unwinds (its user defers may
+		// touch state shared with sibling processes) before the next is
+		// released.
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			p.co.next()
+		}()
+		<-done
 	}
 	s.procs = make(map[*Proc]struct{})
 	s.ladderQ = ladderQueue{}

@@ -1,10 +1,11 @@
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
 // The kernel provides a virtual clock, a time-ordered event queue, and
-// coroutine-style processes. Processes are backed by goroutines but are
-// strictly sequentialised: exactly one process (or the scheduler) runs at
-// any instant, and control transfers through channel handshakes, so
-// simulations are deterministic and race-free by construction.
+// coroutine-style processes. Processes run on recycled stdlib iter.Pull
+// coroutines and are strictly sequentialised: exactly one process (or
+// the scheduler) runs at any instant, and control transfers through
+// direct coroutine switches, so simulations are deterministic and
+// race-free by construction.
 //
 // All latencies and throughputs reported by this repository are measured
 // in the kernel's virtual time, never in wall-clock time. This is what
