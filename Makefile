@@ -41,13 +41,14 @@ bench:
 #     panic or regress to compile errors without paying for timing runs;
 #  2. the gated benchmarks at a pinned -benchtime (so one-time world
 #     construction amortises identically run to run), checked against
-#     the committed allocs/op ceilings in bench_baseline.json;
+#     the committed allocs/op and B/op ceilings and throughput floors in
+#     bench_baseline.json;
 #  3. a fast reproduce run that writes BENCH.json: per-figure wall
 #     clock, worlds/s, pool hit rate, the interleaved snapshot-fork A/B
 #     (-fork-ab), and the step-2 allocs/op numbers.
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./internal/pcie ./internal/driver ./internal/sim ./internal/core
-	$(GO) test -run xxx -bench 'BenchmarkWorldPut1M$$|BenchmarkFlowNetChurn$$' -benchmem -benchtime 500x \
+	$(GO) test -run xxx -bench 'BenchmarkWorldPut1M$$|BenchmarkWorldSpawnTeardown$$|BenchmarkFlowNetChurn$$' -benchmem -benchtime 500x \
 		./internal/core ./internal/pcie | tee bench_gate.out
 	$(GO) test -run xxx -bench 'BenchmarkSimEventThroughput$$|BenchmarkLadderQueueChurn$$' -benchmem -benchtime 2000x \
 		./internal/sim | tee -a bench_gate.out

@@ -10,17 +10,19 @@
 //
 // The baseline file maps benchmark names (without the -N GOMAXPROCS
 // suffix) to either a bare allocs/op ceiling, or an object carrying any
-// of an allocs/op ceiling and an events/s floor (the custom metric
-// benchmarks emit with b.ReportMetric):
+// of allocs/op and B/op ceilings and events/s and forks/s floors (the
+// custom metrics benchmarks emit with b.ReportMetric):
 //
 //	{
 //	  "BenchmarkWorldPut1M": 2,
-//	  "BenchmarkSimEventThroughput": {"max_allocs_per_op": 11, "min_events_per_s": 100000}
+//	  "BenchmarkSimEventThroughput": {"max_allocs_per_op": 11, "min_events_per_s": 100000},
+//	  "BenchmarkWorldSpawnTeardown": {"max_bytes_per_op": 262144}
 //	}
 //
-// allocs/op ceilings are exact and machine-independent, so they never
-// flake; events/s floors are wall-clock and must be set far below the
-// measured rate (an order of magnitude) to absorb loaded CI runners.
+// allocs/op and B/op ceilings are machine-independent up to runtime
+// bookkeeping, so they do not flake; events/s floors are wall-clock and
+// must be set far below the measured rate (an order of magnitude) to
+// absorb loaded CI runners.
 package main
 
 import (
@@ -35,7 +37,7 @@ import (
 )
 
 func main() {
-	baselineFile := flag.String("baseline", "bench_baseline.json", "JSON map of benchmark name -> max allocs/op")
+	baselineFile := flag.String("baseline", "bench_baseline.json", "JSON map of benchmark name -> bounds (allocs/op or a bounds object)")
 	input := flag.String("input", "", "benchmark output file (default stdin)")
 	flag.Parse()
 
@@ -85,43 +87,18 @@ func main() {
 			continue
 		}
 		if g.MaxAllocsPerOp != nil {
-			switch {
-			case res.AllocsPerOp < 0:
-				fmt.Printf("FAIL %-28s has no allocs/op (run with -benchmem)\n", name)
-				failed = true
-			case res.AllocsPerOp > *g.MaxAllocsPerOp:
-				fmt.Printf("FAIL %-28s %d allocs/op, limit %d\n", name, res.AllocsPerOp, *g.MaxAllocsPerOp)
-				failed = true
-			default:
-				fmt.Printf("ok   %-28s %d allocs/op (limit %d)\n", name, res.AllocsPerOp, *g.MaxAllocsPerOp)
-			}
+			ok = ceiling(name, "allocs/op", res.AllocsPerOp, *g.MaxAllocsPerOp) && ok
+		}
+		if g.MaxBytesPerOp != nil {
+			ok = ceiling(name, "B/op", res.BytesPerOp, *g.MaxBytesPerOp) && ok
 		}
 		if g.MinEventsPerS != nil {
-			got, has := res.Extra["events/s"]
-			switch {
-			case !has:
-				fmt.Printf("FAIL %-28s reports no events/s metric (floor %.0f)\n", name, *g.MinEventsPerS)
-				failed = true
-			case got < *g.MinEventsPerS:
-				fmt.Printf("FAIL %-28s %.0f events/s, floor %.0f\n", name, got, *g.MinEventsPerS)
-				failed = true
-			default:
-				fmt.Printf("ok   %-28s %.0f events/s (floor %.0f)\n", name, got, *g.MinEventsPerS)
-			}
+			ok = floor(name, "events/s", res.Extra, *g.MinEventsPerS) && ok
 		}
 		if g.MinForksPerS != nil {
-			got, has := res.Extra["forks/s"]
-			switch {
-			case !has:
-				fmt.Printf("FAIL %-28s reports no forks/s metric (floor %.0f)\n", name, *g.MinForksPerS)
-				failed = true
-			case got < *g.MinForksPerS:
-				fmt.Printf("FAIL %-28s %.0f forks/s, floor %.0f\n", name, got, *g.MinForksPerS)
-				failed = true
-			default:
-				fmt.Printf("ok   %-28s %.0f forks/s (floor %.0f)\n", name, got, *g.MinForksPerS)
-			}
+			ok = floor(name, "forks/s", res.Extra, *g.MinForksPerS) && ok
 		}
+		failed = failed || !ok
 	}
 	if failed {
 		fmt.Println("benchgate: benchmark regression — adjust the baseline only with a justifying commit")
@@ -129,10 +106,43 @@ func main() {
 	}
 }
 
-// gate is one benchmark's bounds: an allocs/op ceiling and/or floors on
-// the custom throughput metrics benchmarks emit with b.ReportMetric.
+// ceiling checks a -benchmem per-op figure (negative when the run did
+// not report it) against its limit and prints the verdict.
+func ceiling(name, unit string, got, limit int64) bool {
+	switch {
+	case got < 0:
+		fmt.Printf("FAIL %-28s has no %s (run with -benchmem)\n", name, unit)
+		return false
+	case got > limit:
+		fmt.Printf("FAIL %-28s %d %s, limit %d\n", name, got, unit, limit)
+		return false
+	}
+	fmt.Printf("ok   %-28s %d %s (limit %d)\n", name, got, unit, limit)
+	return true
+}
+
+// floor checks a custom b.ReportMetric rate against its floor and prints
+// the verdict.
+func floor(name, unit string, extra map[string]float64, limit float64) bool {
+	got, has := extra[unit]
+	switch {
+	case !has:
+		fmt.Printf("FAIL %-28s reports no %s metric (floor %.0f)\n", name, unit, limit)
+		return false
+	case got < limit:
+		fmt.Printf("FAIL %-28s %.0f %s, floor %.0f\n", name, got, unit, limit)
+		return false
+	}
+	fmt.Printf("ok   %-28s %.0f %s (floor %.0f)\n", name, got, unit, limit)
+	return true
+}
+
+// gate is one benchmark's bounds: allocs/op and B/op ceilings and/or
+// floors on the custom throughput metrics benchmarks emit with
+// b.ReportMetric.
 type gate struct {
 	MaxAllocsPerOp *int64   `json:"max_allocs_per_op"`
+	MaxBytesPerOp  *int64   `json:"max_bytes_per_op"`
 	MinEventsPerS  *float64 `json:"min_events_per_s"`
 	MinForksPerS   *float64 `json:"min_forks_per_s"`
 }
@@ -141,6 +151,12 @@ func (g gate) String() string {
 	parts := ""
 	if g.MaxAllocsPerOp != nil {
 		parts = fmt.Sprintf("limit %d allocs/op", *g.MaxAllocsPerOp)
+	}
+	if g.MaxBytesPerOp != nil {
+		if parts != "" {
+			parts += ", "
+		}
+		parts += fmt.Sprintf("limit %d B/op", *g.MaxBytesPerOp)
 	}
 	if g.MinEventsPerS != nil {
 		if parts != "" {
@@ -179,7 +195,7 @@ func parseBaseline(raw []byte) (map[string]gate, error) {
 		if err := json.Unmarshal(msg, &g); err != nil {
 			return nil, fmt.Errorf("entry %q: want an allocs/op number or a bounds object: %w", name, err)
 		}
-		if g.MaxAllocsPerOp == nil && g.MinEventsPerS == nil && g.MinForksPerS == nil {
+		if g.MaxAllocsPerOp == nil && g.MaxBytesPerOp == nil && g.MinEventsPerS == nil && g.MinForksPerS == nil {
 			return nil, fmt.Errorf("entry %q gates nothing", name)
 		}
 		out[name] = g

@@ -49,7 +49,7 @@ func (r *rig) autoAck(t *testing.T, got *[]Info, data *[][]byte) {
 			*got = append(*got, info)
 			if data != nil && info.Size > 0 {
 				buf := make([]byte, info.Size)
-				copy(buf, r.b.Inbound(info.Region)[:info.Size])
+				copy(buf, r.b.Inbound(info.Region, int(info.Size)))
 				*data = append(*data, buf)
 			}
 			Ack(p, r.b)

@@ -222,36 +222,37 @@ func NewPipeRx(port *ntb.Port, par *model.Params, slots int) *PipeRx {
 // device-window state; the port's dirty-extent reset re-zeroes them.
 func (rx *PipeRx) Reset() { rx.expect = 0 }
 
+// expectedSlot returns the window offset of the slot carrying the next
+// in-order message. PipeTx fills slots round-robin from slot 0 as its
+// sequence counts up from 1, so message seq lands in slot (seq-1) mod S.
+func (rx *PipeRx) expectedSlot() int {
+	return int(rx.expect%uint32(rx.slots)) * rx.slotBytes
+}
+
 // Next returns the next in-order message, if one is ready: its Info, the
 // payload window slice (valid until Release), and true. The caller must
 // Release the slot after copying the payload out.
 func (rx *PipeRx) Next(p *sim.Proc) (Info, []byte, bool) {
-	win := rx.port.Inbound(ntb.RegionData)
-	for s := 0; s < rx.slots; s++ {
-		base := s * rx.slotBytes
-		seq, info, ok := decodeSlotHeader(win[base : base+SlotHeaderBytes])
-		if !ok || seq != rx.expect+1 {
-			continue
-		}
-		p.Sleep(rx.port.Par().LocalMMIO) // header inspection
-		payload := win[base+SlotHeaderBytes : base+SlotHeaderBytes+int(info.Size)]
-		return info, payload, true
+	base := rx.expectedSlot()
+	hdr := rx.port.Inbound(ntb.RegionData, base+SlotHeaderBytes)[base:]
+	seq, info, ok := decodeSlotHeader(hdr)
+	if !ok || seq != rx.expect+1 {
+		return Info{}, nil, false
 	}
-	return Info{}, nil, false
+	p.Sleep(rx.port.Par().LocalMMIO) // header inspection
+	start := base + SlotHeaderBytes
+	payload := rx.port.Inbound(ntb.RegionData, start+int(info.Size))[start:]
+	return info, payload, true
 }
 
 // Release invalidates the just-consumed slot and returns a credit to the
 // sender.
 func (rx *PipeRx) Release(p *sim.Proc) {
-	win := rx.port.Inbound(ntb.RegionData)
 	// Clear the valid word of the expected slot (it was just consumed).
-	for s := 0; s < rx.slots; s++ {
-		base := s * rx.slotBytes
-		seq, _, ok := decodeSlotHeader(win[base : base+SlotHeaderBytes])
-		if ok && seq == rx.expect+1 {
-			win[base+hdrValid] = 0
-			break
-		}
+	base := rx.expectedSlot()
+	hdr := rx.port.Inbound(ntb.RegionData, base+SlotHeaderBytes)[base:]
+	if seq, _, ok := decodeSlotHeader(hdr); ok && seq == rx.expect+1 {
+		hdr[hdrValid] = 0
 	}
 	rx.expect++
 	rx.port.PeerDBSet(p, 1<<VecAck)

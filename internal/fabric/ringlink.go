@@ -182,7 +182,7 @@ func (l *ringLink) serve(p *sim.Proc) {
 			continue
 		}
 		info := driver.ReadInfo(p, port)
-		payload := port.Inbound(info.Region)[:info.Size]
+		payload := port.Inbound(info.Region, int(info.Size))
 		ack := l.ackRight
 		if port == l.host.Left {
 			ack = l.ackLeft

@@ -174,7 +174,7 @@ func (l *switchLink) serve(p *sim.Proc) {
 		l.setSvcActive(true)
 		p.Sleep(l.c.Par.ISRCost)
 		info := driver.ReadInfo(p, port)
-		payload := port.Inbound(info.Region)[:info.Size]
+		payload := port.Inbound(info.Region, int(info.Size))
 		if int(info.Dst) != l.host.ID {
 			panic(fmt.Sprintf("fabric: switch host %d received a chunk addressed to host %d", l.host.ID, info.Dst))
 		}

@@ -1,7 +1,10 @@
 // Package mem implements host memory for the simulated cluster, chiefly
 // the paper's symmetric heap design (§III-B.2): a virtually contiguous
 // address space assembled from scattered, fixed-size physical chunks that
-// are allocated on demand and concatenated at the virtual level.
+// are allocated on demand and concatenated at the virtual level. The
+// simulator backs each chunk with host memory only as far as it has been
+// written; the unbacked rest reads as zero, so the virtual geometry is
+// that of fully materialised chunks.
 //
 // Real OpenSHMEM implementations guarantee that a symmetric object lives
 // at the same offset in every PE's symmetric heap. As in the paper, that
@@ -34,17 +37,21 @@ type block struct {
 }
 
 // Heap is a symmetric heap: offsets handed out by Alloc are virtual
-// addresses within a contiguous space whose backing storage is a list of
-// scattered chunkSize slabs, grown on demand up to maxSize.
+// addresses within a contiguous space made of scattered chunkSize chunks,
+// grown on demand up to maxSize. A chunk's host backing covers only a
+// prefix of it: len(chunks[ci]) <= chunkSize, nil until first written,
+// and bytes past the backing read as zero. Writes extend the backing
+// (see back), so host memory tracks what a run writes, not what it
+// allocates.
 //
 // Heap is not safe for concurrent use; in this repository all access is
 // serialised by the simulation kernel.
 type Heap struct {
-	chunkSize int64 // reset: keep — construction geometry
-	maxSize   int64 // reset: keep; snap: keep — construction geometry
-	chunks    [][]byte
-	blocks    []block // sorted by offset, covering [0, len(chunks)*chunkSize)
-	live      int     // number of live allocations
+	chunkSize int64    // reset: keep — construction geometry
+	maxSize   int64    // reset: keep; snap: keep — construction geometry
+	chunks    [][]byte // per-chunk backing prefix, possibly nil
+	blocks    []block  // sorted by offset, covering [0, len(chunks)*chunkSize)
+	live      int      // number of live allocations
 	liveBytes int64
 
 	// written is the high-water mark of bytes that may have been modified
@@ -56,13 +63,17 @@ type Heap struct {
 
 	// shared flags chunks that alias a HeapSnapshot's frozen pages (one
 	// flag per chunk; nil until the heap first meets a snapshot). Shared
-	// chunks are immutable: writers privatize them first (see
-	// snapshot.go), and Reset detaches them instead of clearing.
+	// chunks are immutable: writers privatize them first (see back), and
+	// Reset detaches them to nil instead of clearing.
 	shared []bool
-	// spare pools all-zero chunks displaced by Fork, recycled by
-	// privatize and Reset's detach path. snap: keep — scratch pool.
+	// spare pools the all-zero backings Fork displaces; back reuses one
+	// when it is large enough. snap: keep — scratch pool.
 	spare [][]byte // reset: keep — refilled/drained by fork cycles
 }
+
+// minBacking is the smallest backing a chunk is given, one host page:
+// the first write to a chunk backs at least this much of it.
+const minBacking = 4 << 10
 
 // NewHeap returns an empty heap that grows in chunkSize steps up to
 // maxSize total.
@@ -82,18 +93,19 @@ func (h *Heap) Live() int { return h.live }
 // LiveBytes returns the total bytes currently allocated.
 func (h *Heap) LiveBytes() int64 { return h.liveBytes }
 
-// Chunks returns how many physical chunks back the heap — the paper's
+// Chunks returns how many physical chunks make up the heap — the paper's
 // "scattered but virtually continuative" regions.
 func (h *Heap) Chunks() int { return len(h.chunks) }
 
-// grow appends one physical chunk and extends (or creates) the trailing
-// free block. It fails if the heap is at its maximum.
+// grow appends one physical chunk, unbacked until first written, and
+// extends (or creates) the trailing free block. It fails if the heap is
+// at its maximum.
 func (h *Heap) grow() error {
 	if h.Size()+h.chunkSize > h.maxSize {
 		return ErrOutOfMemory
 	}
 	start := h.Size()
-	h.chunks = append(h.chunks, make([]byte, h.chunkSize))
+	h.chunks = append(h.chunks, nil)
 	if h.shared != nil {
 		h.shared = append(h.shared, false)
 	}
@@ -285,29 +297,15 @@ func (h *Heap) checkRange(off int64, n int) {
 
 // Segments invokes fn over the physical byte runs backing the virtual
 // range [off, off+n), in address order. It is the zero-copy access path:
-// the slices alias heap storage, so the range is conservatively recorded
-// as written (use Read for a non-marking copy).
+// the slices alias heap storage, so the range is backed and
+// conservatively recorded as written (use Read for a non-marking copy).
 func (h *Heap) Segments(off int64, n int, fn func(seg []byte)) {
-	h.ensurePrivate(off, n)
-	h.markWritten(off, n)
-	h.segments(off, n, fn)
-}
-
-func (h *Heap) markWritten(off int64, n int) {
-	if end := off + int64(n); end > h.written {
-		h.written = end
-	}
-}
-
-func (h *Heap) segments(off int64, n int, fn func(seg []byte)) {
 	h.checkRange(off, n)
+	h.back(off, n)
 	for n > 0 {
 		ci := off / h.chunkSize
 		co := off % h.chunkSize
-		run := h.chunkSize - co
-		if int64(n) < run {
-			run = int64(n)
-		}
+		run := min(h.chunkSize-co, int64(n))
 		fn(h.chunks[ci][co : co+run])
 		off += run
 		n -= int(run)
@@ -316,47 +314,124 @@ func (h *Heap) segments(off int64, n int, fn func(seg []byte)) {
 
 // Write copies data into the heap at virtual offset off.
 func (h *Heap) Write(off int64, data []byte) {
-	h.ensurePrivate(off, len(data))
-	h.markWritten(off, len(data))
-	h.segments(off, len(data), func(seg []byte) {
-		copy(seg, data[:len(seg)])
-		data = data[len(seg):]
-	})
+	h.checkRange(off, len(data))
+	h.back(off, len(data))
+	for len(data) > 0 {
+		// back left every overlapped chunk backed to the write's end
+		// within it, so copy stops exactly at the chunk boundary or the
+		// end of data.
+		n := copy(h.chunks[off/h.chunkSize][off%h.chunkSize:], data)
+		off += int64(n)
+		data = data[n:]
+	}
 }
 
-// Read copies len(buf) bytes from virtual offset off into buf.
+// Read copies len(buf) bytes from virtual offset off into buf. Bytes past
+// a chunk's backing read as zero.
 func (h *Heap) Read(off int64, buf []byte) {
-	h.segments(off, len(buf), func(seg []byte) {
-		copy(buf[:len(seg)], seg)
-		buf = buf[len(seg):]
-	})
+	h.checkRange(off, len(buf))
+	for len(buf) > 0 {
+		ci := off / h.chunkSize
+		co := off % h.chunkSize
+		run := min(h.chunkSize-co, int64(len(buf)))
+		n := 0
+		if chunk := h.chunks[ci]; co < int64(len(chunk)) {
+			n = copy(buf[:run], chunk[co:])
+		}
+		clear(buf[n:run])
+		off += run
+		buf = buf[run:]
+	}
+}
+
+// back readies [off, off+n) for writing and raises the written mark. A
+// chunk the range overlaps keeps its backing when that is private and
+// already covers the range's end within it; otherwise — shared with a
+// snapshot, unbacked, or backed short — it gets one new backing (see
+// reback). This is the only place chunk backings are allocated.
+func (h *Heap) back(off int64, n int) {
+	if n <= 0 {
+		return
+	}
+	end := off + int64(n)
+	for ci := off / h.chunkSize; ci*h.chunkSize < end; ci++ {
+		need := min(end-ci*h.chunkSize, h.chunkSize)
+		if int64(len(h.chunks[ci])) < need || (h.shared != nil && h.shared[ci]) {
+			h.reback(int(ci), need, end)
+		}
+	}
+	if end > h.written {
+		h.written = end
+	}
+}
+
+// reback gives chunk ci a private backing of at least need bytes, sized
+// once for the write ending at virtual offset end: the largest of need,
+// the end of the live block holding the write's last byte, the current
+// backing (twice it when that falls short of need) and minBacking,
+// capped at chunkSize. Sizing to the block up front means a buffer
+// filled by many small writes is backed in one allocation. Only the
+// current backing's slice of [0, written) is carried over — past the
+// written mark every byte is zero, in frozen pages and spare backings
+// alike — so privatizing a shared chunk (the copy-on-write fault) and
+// growing a private one are the same copy.
+func (h *Heap) reback(ci int, need, end int64) {
+	base := int64(ci) * h.chunkSize
+	cur := h.chunks[ci]
+	size := max(need, int64(len(cur)), minBacking)
+	if need > int64(len(cur)) {
+		size = max(size, 2*int64(len(cur)))
+	}
+	if end-base <= h.chunkSize {
+		if b, s, ok := h.BlockOf(end - 1); ok {
+			size = max(size, b+s-base)
+		}
+	}
+	priv := h.zeroBacking(min(size, h.chunkSize))
+	if keep := min(h.written-base, int64(len(cur))); keep > 0 {
+		copy(priv, cur[:keep])
+	}
+	h.chunks[ci] = priv
+	if h.shared != nil && h.shared[ci] {
+		h.shared[ci] = false
+		cowCopies.Add(1)
+	}
+}
+
+// zeroBacking returns an all-zero backing of at least size bytes: a spare
+// one Fork displaced, when one is large enough, or a fresh allocation.
+func (h *Heap) zeroBacking(size int64) []byte {
+	for i := len(h.spare) - 1; i >= 0; i-- {
+		if c := h.spare[i]; int64(len(c)) >= size {
+			last := len(h.spare) - 1
+			h.spare[i] = h.spare[last]
+			h.spare[last] = nil
+			h.spare = h.spare[:last]
+			return c
+		}
+	}
+	return make([]byte, size)
 }
 
 // Reset drops every allocation and rezeroes the written extent, returning
 // the heap to a state indistinguishable from freshly constructed while
-// keeping the physical chunks. Because grow costs nothing in virtual time
-// and first-fit over a single leading free block assigns the same offsets
-// a demand-grown fresh heap would, an allocation sequence replayed after
-// Reset yields byte-identical placement — the property pooled simulation
-// worlds rely on.
+// keeping the chunks and their private backings. Because grow costs
+// nothing in virtual time and first-fit over a single leading free block
+// assigns the same offsets a demand-grown fresh heap would, an allocation
+// sequence replayed after Reset yields byte-identical placement — the
+// property pooled simulation worlds rely on.
 func (h *Heap) Reset() {
-	remaining := h.written
-	for ci := 0; remaining > 0; ci++ {
-		chunk := h.chunks[ci]
-		n := int64(len(chunk))
-		if remaining < n {
-			n = remaining
-		}
+	for ci := int64(0); ci*h.chunkSize < h.written; ci++ {
 		if h.shared != nil && h.shared[ci] {
-			// The chunk belongs to a snapshot: detach it (swap in a zero
-			// page) rather than clearing the frozen contents out from
-			// under the snapshot's other forks.
-			h.chunks[ci] = h.takeSpare()
+			// The chunk belongs to a snapshot: detach it rather than
+			// clearing the frozen contents out from under the snapshot's
+			// other forks. An unbacked chunk reads as zero.
+			h.chunks[ci] = nil
 			h.shared[ci] = false
-		} else {
-			clear(chunk[:n])
+			continue
 		}
-		remaining -= n
+		chunk := h.chunks[ci]
+		clear(chunk[:min(int64(len(chunk)), h.written-ci*h.chunkSize)])
 	}
 	h.written = 0
 	h.live = 0

@@ -6,17 +6,17 @@ import (
 )
 
 // Copy-on-write heap snapshots. A snapshot freezes the heap's allocator
-// state and takes ownership of every chunk overlapping the written
-// extent; the heap itself and any number of forked heaps then share
-// those frozen pages, and the mutating access paths (Write, Segments)
-// privatize a shared chunk — one chunk-sized copy — the first time it
-// is written. Capturing a snapshot therefore costs O(chunks) flag
-// updates, not O(bytes), and a forked sweep point pays copy cost only
-// for the pages its divergent future actually touches.
+// state and takes ownership of every chunk backing overlapping the
+// written extent; the heap itself and any number of forked heaps then
+// share those frozen pages, and the mutating access paths (Write,
+// Segments) privatize a shared chunk — one copy of its written prefix —
+// the first time it is written. Capturing a snapshot therefore costs
+// O(chunks) flag updates, not O(bytes), and a forked sweep point pays
+// copy cost only for the pages its divergent future actually touches.
 //
 // Invariant: a frozen page is immutable forever. Writers privatize
-// before touching it, and Reset detaches shared chunks (swapping in a
-// zero page from the spare pool) instead of clearing them, so a
+// before touching it, and Reset detaches shared chunks (leaving them
+// unbacked, which reads as zero) instead of clearing them, so a
 // snapshot's contents survive any number of fork/reset cycles of the
 // heaps referencing it.
 
@@ -24,8 +24,8 @@ import (
 // across every heap in the process, for the fork-stats report.
 var cowCopies atomic.Uint64
 
-// CowCopies reports how many chunk-sized copy-on-write copies heaps have
-// performed process-wide since start.
+// CowCopies reports how many copy-on-write chunk privatizations heaps
+// have performed process-wide since start.
 func CowCopies() uint64 { return cowCopies.Load() }
 
 // HeapSnapshot is a frozen image of a heap: the allocator's block list
@@ -76,10 +76,11 @@ func (h *Heap) Snapshot() *HeapSnapshot {
 
 // Fork points a freshly Reset heap at the snapshot's state: allocator
 // metadata is restored and the snapshot's frozen pages are aliased
-// rather than copied. The heap's displaced (all-zero) chunks park in the
-// spare pool, ready to back later privatizations without allocating.
-// The heap must have the snapshot's geometry and be in its power-on
-// state — forking over live allocations would leak them.
+// rather than copied. The heap's displaced backings (all-zero after
+// Reset) park in the spare pool, ready to back later privatizations
+// without allocating; Fork is the pool's only source. The heap must have
+// the snapshot's geometry and be in its power-on state — forking over
+// live allocations would leak them.
 func (h *Heap) Fork(s *HeapSnapshot) {
 	if h.chunkSize != s.chunkSize {
 		panic(fmt.Sprintf("mem: fork of a chunk-size-%d heap from a chunk-size-%d snapshot", h.chunkSize, s.chunkSize))
@@ -90,11 +91,11 @@ func (h *Heap) Fork(s *HeapSnapshot) {
 	if h.written != 0 || h.live != 0 {
 		panic("mem: fork of a heap that is not freshly Reset")
 	}
-	// Grow the heap to at least the snapshot's extent, then alias the
-	// frozen pages, displacing the heap's own zero chunks into the spare
-	// pool for later privatizations.
+	// Grow the heap to at least the snapshot's extent with unbacked
+	// chunks, then alias the frozen pages, displacing the heap's own
+	// zero backings into the spare pool for later privatizations.
 	for h.Size() < s.size {
-		h.chunks = append(h.chunks, h.takeSpare())
+		h.chunks = append(h.chunks, nil)
 		if h.shared != nil {
 			h.shared = append(h.shared, false)
 		}
@@ -106,7 +107,9 @@ func (h *Heap) Fork(s *HeapSnapshot) {
 		if h.shared[ci] {
 			panic("mem: fork found a shared chunk on a reset heap")
 		}
-		h.spare = append(h.spare, h.chunks[ci])
+		if len(h.chunks[ci]) > 0 {
+			h.spare = append(h.spare, h.chunks[ci])
+		}
 		h.chunks[ci] = s.frozen[ci]
 		h.shared[ci] = true
 	}
@@ -123,53 +126,4 @@ func (h *Heap) Fork(s *HeapSnapshot) {
 	h.live = s.live
 	h.liveBytes = s.liveBytes
 	h.written = s.written
-}
-
-// ensurePrivate privatizes every shared chunk overlapping [off, off+n)
-// ahead of a write. Heaps that never met a snapshot skip it on a nil
-// check.
-func (h *Heap) ensurePrivate(off int64, n int) {
-	if h.shared == nil || n <= 0 {
-		return
-	}
-	last := (off + int64(n) - 1) / h.chunkSize
-	for ci := off / h.chunkSize; ci <= last; ci++ {
-		if int(ci) < len(h.shared) && h.shared[ci] {
-			h.privatize(int(ci))
-		}
-	}
-}
-
-// privatize replaces the shared chunk ci with a private copy — the
-// copy-on-write fault path. Only the chunk's slice of [0, written) is
-// copied: a frozen page is zero beyond the written watermark it was
-// captured under (writers privatize before raising it), and spare pages
-// are all-zero already, so the tail needs no copy.
-func (h *Heap) privatize(ci int) {
-	priv := h.takeSpare()
-	n := h.written - int64(ci)*h.chunkSize
-	if n > h.chunkSize {
-		n = h.chunkSize
-	}
-	if n > 0 {
-		copy(priv[:n], h.chunks[ci][:n])
-	}
-	h.chunks[ci] = priv
-	h.shared[ci] = false
-	cowCopies.Add(1)
-}
-
-// takeSpare pops a zero chunk from the spare pool or allocates one.
-// Every chunk entering the pool is all-zero (displaced from a freshly
-// Reset heap at fork time), so callers needing zero pages (Reset's
-// detach) and callers overwriting the whole chunk (privatize) both use
-// it directly.
-func (h *Heap) takeSpare() []byte {
-	if last := len(h.spare) - 1; last >= 0 {
-		c := h.spare[last]
-		h.spare[last] = nil
-		h.spare = h.spare[:last]
-		return c
-	}
-	return make([]byte, h.chunkSize)
 }

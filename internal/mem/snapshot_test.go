@@ -105,8 +105,8 @@ func TestForkResetForkRecyclesSpares(t *testing.T) {
 			}
 		}
 	}
-	// The spare pool cycles chunks; the child never grows past the
-	// snapshot extent plus its own original chunks.
+	// Fork parks each displaced backing in the spare pool for the next
+	// copy-on-write fault; the child never grows past the snapshot extent.
 	if child.Chunks() != 2 {
 		t.Fatalf("child holds %d chunks after 3 fork cycles, want 2", child.Chunks())
 	}

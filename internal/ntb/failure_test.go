@@ -129,7 +129,7 @@ func TestLUTEnforcement(t *testing.T) {
 		// Admitting A unblocks it.
 		b.LUTAdd(p, a.RequesterID())
 		a.CPUWrite(p, RegionData, 0, []byte{3})
-		if b.Inbound(RegionData)[0] != 3 {
+		if b.Inbound(RegionData, 1)[0] != 3 {
 			t.Error("admitted write did not land")
 		}
 	})

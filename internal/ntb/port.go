@@ -130,10 +130,10 @@ func NewPort(name string, s *sim.Simulator, net *pcie.Network, par *model.Params
 		engineBW: par.DMAEngineBW,
 		spads:    make([]uint32, par.SpadCount),
 	}
-	// Inbound windows are allocated on first touch (see window): a fresh
-	// slice is zeroed either way, and most worlds never address most
-	// regions, so eager allocation would spend the bulk of world
-	// construction zeroing megabytes nobody reads.
+	// Inbound windows start unbacked and grow as far as they are
+	// addressed (see window): most worlds touch a few KiB of a
+	// megabyte window, so backing it whole would spend world
+	// construction and recycling zeroing memory nobody reads.
 	p.dma = newEngine(p)
 	return p
 }
@@ -367,19 +367,34 @@ func (p *Port) SetEngineBW(bw float64) {
 // EngineBW returns the adapter's DMA engine rate.
 func (p *Port) EngineBW() float64 { return p.engineBW }
 
-// Inbound returns the backing store of an inbound window. The slice
-// aliases device memory; the service thread copies out of it.
-func (p *Port) Inbound(r Region) []byte { return p.window(r) }
+// Inbound returns the first n bytes of inbound window r. The slice
+// aliases device memory; the service thread copies out of it. Callers
+// pass the extent they index, since only that much is guaranteed backed.
+func (p *Port) Inbound(r Region, n int) []byte { return p.window(r, n)[:n] }
 
-// window returns region r's backing store, materialising it on first
-// touch. Lazily allocated windows read as zeros exactly like eagerly
-// allocated ones, so virtual-time behaviour is unchanged.
-func (p *Port) window(r Region) []byte {
-	if p.inbound[r] == nil {
-		p.inbound[r] = make([]byte, p.par.WindowSize)
+// window returns region r's backing store, grown to cover at least its
+// first end bytes. A window is backed only as far as it has been
+// addressed: growth doubles the backing (at least minBacking, at most
+// WindowSize) and carries the old contents over, and bytes never backed
+// read as zero, exactly like a fully allocated window, so virtual-time
+// behaviour is unchanged. Addressing past WindowSize panics.
+func (p *Port) window(r Region, end int) []byte {
+	w := p.inbound[r]
+	if end <= len(w) {
+		return w
 	}
-	return p.inbound[r]
+	if end > p.par.WindowSize {
+		panic(fmt.Sprintf("ntb: window %d access to byte %d exceeds window size %d", r, end, p.par.WindowSize))
+	}
+	grown := make([]byte, min(max(end, 2*len(w), minBacking), p.par.WindowSize))
+	copy(grown, w)
+	p.inbound[r] = grown
+	return grown
 }
+
+// minBacking is the smallest backing an inbound window is given, one host
+// page.
+const minBacking = 4 << 10
 
 // extent is a half-open dirty range [lo, hi) within a window; lo == hi
 // means untouched.
@@ -648,7 +663,7 @@ func (p *Port) CPUWrite(pr *sim.Proc, r Region, off int, data []byte) {
 		return // posted stores to a dead link vanish
 	}
 	peer.markDirty(r, off, len(data))
-	copy(peer.window(r)[off:], data)
+	copy(peer.window(r, off+len(data))[off:], data)
 }
 
 // postWindowCopy lands a completed transfer's bytes in the remote peer's
@@ -668,7 +683,7 @@ func (p *Port) postWindowCopy(peer *Port, r Region, off, n int, src []byte, heap
 	}
 	p.sim.Post(peer.sim, p.lag, func() {
 		peer.markDirty(r, off, n)
-		copy(peer.window(r)[off:], buf)
+		copy(peer.window(r, off+n)[off:], buf)
 	})
 }
 
@@ -696,7 +711,7 @@ func (p *Port) CPURead(pr *sim.Proc, r Region, off int, buf []byte) {
 	start := pr.Now()
 	p.net.TransferRoute(pr, int64(len(buf)), p.par.WindowReadBW, p.route)
 	p.emit("pio", "window-read", pr.Now().Sub(start), len(buf))
-	copy(buf, peer.window(r)[off:off+len(buf)])
+	copy(buf, peer.window(r, off+len(buf))[off:])
 }
 
 // ---- DMA engine ----
@@ -829,7 +844,7 @@ func (e *Engine) run(pr *sim.Proc) {
 			peer.admit(e.port)
 			e.port.net.TransferRoute(pr, int64(d.Bytes), e.port.engineBW, e.port.route)
 			peer.markDirty(d.Region, d.Off, d.Bytes)
-			dst := peer.window(d.Region)[d.Off : d.Off+d.Bytes]
+			dst := peer.window(d.Region, d.Off+d.Bytes)[d.Off : d.Off+d.Bytes]
 			if d.SrcHeap != nil {
 				d.SrcHeap.Read(d.SrcOff, dst)
 			} else {

@@ -149,14 +149,14 @@ func TestCPUWriteLandsInPeerWindow(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := b.Inbound(RegionData)[100 : 100+len(payload)]; !bytes.Equal(got, payload) {
+	if got := b.Inbound(RegionData, 100+len(payload))[100:]; !bytes.Equal(got, payload) {
 		t.Fatalf("window contents = %q", got)
 	}
 }
 
 func TestCPUReadPullsFromPeerWindow(t *testing.T) {
 	s, a, b, par := pair(t)
-	copy(b.Inbound(RegionBypass)[8:], "hidden")
+	copy(b.Inbound(RegionBypass, 14)[8:], "hidden")
 	var elapsed sim.Duration
 	s.Go("r", func(p *sim.Proc) {
 		buf := make([]byte, 6)
@@ -202,7 +202,7 @@ func TestDMATransferMovesDataAndCosts(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(b.Inbound(RegionData)[:n], src) {
+	if !bytes.Equal(b.Inbound(RegionData, n), src) {
 		t.Fatal("DMA data mismatch")
 	}
 	// Expected: setup + n/engineBW (engine is the bottleneck).
@@ -231,7 +231,7 @@ func TestDMAFromHeapSource(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(b.Inbound(RegionBypass)[64:64+10000], data) {
+	if !bytes.Equal(b.Inbound(RegionBypass, 64+10000)[64:], data) {
 		t.Fatal("heap-sourced DMA mismatch")
 	}
 }
@@ -249,7 +249,7 @@ func TestDMADescriptorsProcessInOrder(t *testing.T) {
 			i := i
 			s.Go("watch", func(wp *sim.Proc) {
 				done.Wait(wp)
-				order = append(order, b.Inbound(RegionData)[0], i)
+				order = append(order, b.Inbound(RegionData, 1)[0], i)
 			})
 		}
 		last.Wait(p)

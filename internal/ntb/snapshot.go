@@ -6,8 +6,12 @@ package ntb
 // capture time — after a quiescent prefix the dirty residue is small
 // protocol state (pipelined slot headers, boot spad mirrors), not bulk
 // payload, and Inbound() hands out long-lived aliases that rule out the
-// heap's page-granular copy-on-write here. The DMA engine must be idle
-// at capture, so its queue needs no image.
+// heap's page-granular copy-on-write here. Neither the image nor Restore
+// depends on how far a window is backed: a window is backed only as far
+// as it was addressed, Restore grows the target's backing to cover the
+// captured extent, and everything outside it reads as zero on both
+// sides. The DMA engine must be idle at capture, so its queue needs no
+// image.
 type PortSnapshot struct {
 	spads  []uint32
 	db     uint16
@@ -46,7 +50,7 @@ func (p *Port) Restore(s *PortSnapshot) {
 		d := s.dirty[r]
 		p.winDirty[r] = d
 		if d.hi > d.lo {
-			copy(p.window(Region(r))[d.lo:d.hi], s.win[r])
+			copy(p.window(Region(r), d.hi)[d.lo:], s.win[r])
 		}
 	}
 }
