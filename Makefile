@@ -25,8 +25,8 @@ vet:
 
 # Project-specific static analysis (see LINT.md): determinism, Reset/
 # Snapshot completeness, annotated zero-alloc hot paths, park/timer
-# discipline, cross-shard ownership (shardsafe), the fabric.Link
-# lifecycle contract (fabriccontract), and waiver-drift detection.
+# discipline, the fabric.Link lifecycle contract (fabriccontract), and
+# waiver-drift detection.
 # Packages are analyzed on a worker pool; -time reports per-analyzer
 # wall-clock so suite growth stays visible.
 lint:
@@ -52,7 +52,7 @@ bench-smoke:
 		./internal/core ./internal/pcie | tee bench_gate.out
 	$(GO) test -run xxx -bench 'BenchmarkSimEventThroughput$$|BenchmarkLadderQueueChurn$$' -benchmem -benchtime 2000x \
 		./internal/sim | tee -a bench_gate.out
-	$(GO) test -run xxx -bench 'BenchmarkScaleWorld256$$|BenchmarkShardedWorld256$$' -benchmem -benchtime 10x \
+	$(GO) test -run xxx -bench 'BenchmarkScaleWorld256$$' -benchmem -benchtime 10x \
 		./internal/bench | tee -a bench_gate.out
 	$(GO) test -run xxx -bench 'BenchmarkSwitchWorld$$' -benchmem -benchtime 100x \
 		./internal/bench | tee -a bench_gate.out

@@ -30,7 +30,6 @@ func main() {
 	dim := flag.Int("dim", 64, "matmul: matrix dimension")
 	keys := flag.Int("keys", 40000, "intsort: keys per PE")
 	j := flag.Int("j", runtime.GOMAXPROCS(0), "worker count: independent simulation worlds run in parallel")
-	shards := flag.Int("shards", 1, "conservative-DES shards per world (1 = single simulator; large worlds on point-to-point fabrics split across shards)")
 	flag.Parse()
 	bench.SetParallelism(*j)
 
@@ -47,11 +46,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "appbench: -hosts=%d: the ntb-pair fabric joins exactly 2 hosts\n", *hosts)
 		os.Exit(2)
 	}
-	if err := bench.ValidateShards(*shards, kind); err != nil {
-		fmt.Fprintln(os.Stderr, "appbench:", err)
-		os.Exit(2)
-	}
-	bench.SetShards(*shards)
 	bench.SetFabric(kind)
 
 	par, err := model.Profile(*profile)

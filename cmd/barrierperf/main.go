@@ -23,7 +23,6 @@ func main() {
 	fabricName := flag.String("fabric", "ntb-ring", "fabric backend to measure over: ntb-ring, pcie-switch, or cxl")
 	csv := flag.Bool("csv", false, "emit CSV instead of tables")
 	j := flag.Int("j", runtime.GOMAXPROCS(0), "worker count: independent simulation worlds run in parallel")
-	shards := flag.Int("shards", 1, "conservative-DES shards per world (1 = single simulator; large worlds on point-to-point fabrics split across shards)")
 	flag.Parse()
 	bench.SetParallelism(*j)
 
@@ -40,11 +39,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "barrierperf: -ablation compares the ring's token barrier against dissemination and requires -fabric=ntb-ring")
 		os.Exit(2)
 	}
-	if err := bench.ValidateShards(*shards, kind); err != nil {
-		fmt.Fprintln(os.Stderr, "barrierperf:", err)
-		os.Exit(2)
-	}
-	bench.SetShards(*shards)
 	bench.SetFabric(kind)
 
 	par := model.Default()

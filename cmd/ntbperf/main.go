@@ -27,7 +27,6 @@ func main() {
 	fabricName := flag.String("fabric", "ntb-ring", "fabric backend: ntb-ring, ntb-pair, pcie-switch, or cxl (non-ring backends run the cross-fabric workload)")
 	csv := flag.Bool("csv", false, "emit CSV instead of tables")
 	j := flag.Int("j", runtime.GOMAXPROCS(0), "worker count: independent simulation worlds run in parallel")
-	shards := flag.Int("shards", 1, "conservative-DES shards per world (1 = single simulator; large worlds on point-to-point fabrics split across shards)")
 	flag.Parse()
 	bench.SetParallelism(*j)
 
@@ -36,11 +35,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ntbperf: -fabric:", err)
 		os.Exit(2)
 	}
-	if err := bench.ValidateShards(*shards, kind); err != nil {
-		fmt.Fprintln(os.Stderr, "ntbperf:", err)
-		os.Exit(2)
-	}
-	bench.SetShards(*shards)
 	par := model.Default()
 	par.Gen, par.Lanes = *gen, *lanes
 	if err := par.Validate(); err != nil {

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	reproduce [-skip-ablations] [-csv] [-j N] [-world-pool=false] [-bench-json FILE]
+//	reproduce [-skip-ablations] [-csv] [-j N] [-bench-json FILE]
 //	          [-scaling=false] [-scale-pes 3,64,256,1024] [-scheduler ladder|heap]
 //	          [-fabric ntb-ring,pcie-switch,cxl]
 package main
@@ -52,25 +52,6 @@ type scalePoint struct {
 	NsPerEvent    float64 `json:"ns_per_event"`
 }
 
-// shardingResult records the conservative-DES sharding measurement: the
-// 256-PE scaling workload at one shard and at Shards shards
-// (PROTOCOL.md §14). The workload is inside the sharding's exactness
-// domain, so VirtualEndNs is required to be identical between the two
-// modes; only the wall-clock throughputs differ. On a multi-core host
-// the sharded mode's events/s should exceed the single-shard mode's;
-// with GOMAXPROCS=1 the modes tie (minus coordination overhead) and the
-// speedup column documents that the run had no cores to spend.
-type shardingResult struct {
-	PEs              int     `json:"pes"`
-	Shards           int     `json:"shards"`
-	GoMaxProcs       int     `json:"gomaxprocs"`
-	WorldsPerMode    int     `json:"worlds_per_mode"`
-	VirtualEndNs     int64   `json:"virtual_end_ns"`
-	EventsPerSecOne  float64 `json:"events_per_s_1shard"`
-	EventsPerSecMany float64 `json:"events_per_s_sharded"`
-	Speedup          float64 `json:"speedup"`
-}
-
 // forkABResult is the interleaved fork on/off A/B over the prefix-heavy
 // probe workload: the snapshot-fork analogue of PR 3's pool A/B.
 type forkABResult struct {
@@ -89,11 +70,8 @@ type benchReport struct {
 	Parallelism int            `json:"parallelism"`
 	GoMaxProcs  int            `json:"gomaxprocs"`
 	Scheduler   string         `json:"scheduler"`
-	WorldPool   bool           `json:"world_pool"`
 	WorldFork   bool           `json:"world_fork"`
 	Figures     []figureMetric `json:"figures"`
-	// Sharding is the conservative-DES shard A/B (-shard-ab).
-	Sharding *shardingResult `json:"sharding,omitempty"`
 	// Scaling is the ring-size sweep (-scaling): engine throughput vs PE
 	// count under the selected scheduler, plus a heap-scheduler baseline
 	// at the smallest ring for per-event comparison.
@@ -128,7 +106,6 @@ func main() {
 	par := flag.Int("j", runtime.GOMAXPROCS(0), "worker count: independent simulation worlds run in parallel")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile (after the run) to this file")
-	worldPool := flag.Bool("world-pool", true, "recycle simulation worlds between sweep points (A/B switch for the pool)")
 	fork := flag.Bool("fork", true, "fork sweep points from copy-on-write warm-up snapshots instead of replaying the prefix (A/B switch)")
 	forkAB := flag.Int("fork-ab", 0, "run an interleaved fork on/off A/B over this many prefix-heavy probe points (0 skips)")
 	benchJSON := flag.String("bench-json", "", "write machine-readable run metrics (per-figure wall clock, worlds/s, allocs/op) to this file")
@@ -136,23 +113,11 @@ func main() {
 	scaling := flag.Bool("scaling", true, "run the ring-size scaling sweep (events/s and worlds/s vs PE count)")
 	scalePEs := flag.String("scale-pes", "3,16,64,256,1024", "comma-separated ring sizes for the scaling sweep")
 	scaleReps := flag.Int("scale-reps", 2, "measured worlds per scaling point (an unmeasured warm-up world per point precedes them)")
-	shards := flag.Int("shards", 1, "conservative-DES shards per world for the whole run (1 = single simulator; only worlds of ≥16 hosts on point-to-point fabrics shard)")
-	shardAB := flag.Int("shard-ab", 4, "measure the 256-PE scaling workload at 1 vs N shards and record it in the bench report (0 skips)")
 	schedName := flag.String("scheduler", "ladder", "event scheduler for all simulation worlds: ladder or heap")
 	fabricList := flag.String("fabric", "ntb-ring,pcie-switch,cxl", "comma-separated fabric backends for the cross-fabric figure (E6): ntb-ring, ntb-pair, pcie-switch, cxl")
 	flag.Parse()
 	bench.SetParallelism(*par)
-	bench.SetWorldPool(*worldPool)
 	bench.SetWorldFork(*fork)
-	if err := bench.ValidateShards(*shards, fabric.KindNTBRing); err != nil {
-		fmt.Fprintln(os.Stderr, "reproduce:", err)
-		os.Exit(2)
-	}
-	if *shardAB == 1 || *shardAB < 0 {
-		fmt.Fprintf(os.Stderr, "reproduce: -shard-ab=%d: need at least 2 shards for an A/B (or 0 to skip)\n", *shardAB)
-		os.Exit(2)
-	}
-	bench.SetShards(*shards)
 	sched, err := sim.ParseScheduler(*schedName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "reproduce:", err)
@@ -233,14 +198,13 @@ func main() {
 	fmt.Printf("platform profile: PCIe Gen%d x%d, wire %.2f GB/s, DMA engine %.2f GB/s\n",
 		mp.Gen, mp.Lanes, mp.EffectiveWireBW()/1e9, mp.DMAEngineBW/1e9)
 	onOff := map[bool]string{true: "on", false: "off"}
-	fmt.Printf("parallel runner: %d workers (independent worlds only; virtual time is unaffected), world pool %s, snapshot fork %s, scheduler %s\n\n",
-		bench.Parallelism(), onOff[bench.WorldPoolEnabled()], onOff[bench.WorldForkEnabled()], sched)
+	fmt.Printf("parallel runner: %d workers (independent worlds only; virtual time is unaffected), snapshot fork %s, scheduler %s\n\n",
+		bench.Parallelism(), onOff[bench.WorldForkEnabled()], sched)
 
 	report := benchReport{
 		Parallelism: bench.Parallelism(),
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
 		Scheduler:   sched.String(),
-		WorldPool:   bench.WorldPoolEnabled(),
 		WorldFork:   bench.WorldForkEnabled(),
 	}
 
@@ -294,11 +258,6 @@ func main() {
 
 	if *scaling {
 		report.Scaling = runScaling(mp, pes, *scaleReps, sched)
-	}
-
-	if *shardAB > 0 {
-		report.Sharding = runSharding(mp, *shardAB, *scaleReps)
-		bench.SetShards(*shards) // the A/B toggles the knob; restore the run's setting
 	}
 
 	if *forkAB > 0 {
@@ -458,48 +417,6 @@ func runScaling(mp *model.Params, pes []int, reps int, sched sim.SchedulerKind) 
 	sim.SetDefaultScheduler(sched)
 	fmt.Println()
 	return points
-}
-
-// runSharding measures the conservative-DES shard A/B: the 256-PE
-// scaling workload at one shard and at shards shards, reps measured
-// worlds each (plus one unmeasured warm-up per mode). The virtual end
-// time is the determinism witness — the workload is inside the
-// sharding's exactness domain (PROTOCOL.md §14), so a divergence is a
-// correctness failure, reported loudly rather than archived quietly.
-func runSharding(mp *model.Params, shards, reps int) *shardingResult {
-	const n, putBytes = 256, 4096
-	res := &shardingResult{
-		PEs: n, Shards: shards,
-		GoMaxProcs:    runtime.GOMAXPROCS(0),
-		WorldsPerMode: reps,
-	}
-	measure := func(s int) (float64, sim.Time) {
-		bench.SetShards(s)
-		bench.ScaleWorkload(mp, n, putBytes) // unmeasured warm-up for this shard count
-		e0 := bench.VirtualEvents()
-		t0 := time.Now()
-		var end sim.Time
-		for r := 0; r < reps; r++ {
-			end = bench.ScaleWorkloadTime(mp, n, putBytes)
-		}
-		wall := time.Since(t0).Seconds()
-		return float64(bench.VirtualEvents()-e0) / wall, end
-	}
-	one, endOne := measure(1)
-	many, endMany := measure(shards)
-	res.EventsPerSecOne, res.EventsPerSecMany = one, many
-	res.VirtualEndNs = int64(endOne)
-	res.Speedup = many / one
-	fmt.Printf("[shard] %d-PE scaling workload, %d world(s) per mode, gomaxprocs=%d\n", n, reps, res.GoMaxProcs)
-	fmt.Printf("[shard] 1 shard: %.0f events/s; %d shards: %.0f events/s — speedup %.2fx\n",
-		one, shards, many, res.Speedup)
-	if endOne != endMany {
-		fmt.Printf("[shard] DETERMINISM FAILURE: virtual end %v at 1 shard, %v at %d shards\n",
-			endOne, endMany, shards)
-	} else {
-		fmt.Printf("[shard] virtual end identical across modes: %v\n\n", endOne)
-	}
-	return res
 }
 
 // parseFabrics validates the -fabric list at the command layer so a

@@ -7,13 +7,11 @@
 // Usage:
 //
 //	scaleperf [-pes 3,16,64,256,1024] [-reps N] [-scheduler ladder|heap] [-put-bytes N]
-//	          [-fabric ntb-ring|pcie-switch|cxl] [-shards N]
+//	          [-fabric ntb-ring|pcie-switch|cxl]
 //
-// -shards N splits each world of at least 16 hosts across N
-// conservative-DES shards (PROTOCOL.md §14). The printed "virtual end"
-// column is each world's final virtual time: the workload is inside the
-// sharding's exactness domain, so the column is identical at every
-// -shards setting — only the wall-clock columns may change.
+// The printed "virtual end" column is each world's final virtual time;
+// it is identical run over run, and only the wall-clock columns may
+// change.
 package main
 
 import (
@@ -37,7 +35,6 @@ func main() {
 	schedName := flag.String("scheduler", "ladder", "event scheduler: ladder or heap")
 	putBytes := flag.Int("put-bytes", 4096, "payload each PE puts to its right neighbour")
 	fabricName := flag.String("fabric", "ntb-ring", "fabric backend to scale over: ntb-ring, pcie-switch, or cxl")
-	shards := flag.Int("shards", 1, "conservative-DES shards per world (1 = single simulator; worlds of ≥16 hosts on point-to-point fabrics split across shards)")
 	flag.Parse()
 
 	kind, err := fabric.ParseKind(*fabricName)
@@ -63,17 +60,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "scaleperf: -put-bytes=%d: need a positive payload\n", *putBytes)
 		os.Exit(2)
 	}
-	if err := bench.ValidateShards(*shards, kind); err != nil {
-		fmt.Fprintln(os.Stderr, "scaleperf:", err)
-		os.Exit(2)
-	}
 	sim.SetDefaultScheduler(sched)
-	bench.SetShards(*shards)
 	bench.SetFabric(kind)
 
 	par := model.Default()
-	fmt.Printf("%s scaling sweep: scheduler=%s reps=%d put-bytes=%d shards=%d gomaxprocs=%d\n\n",
-		kind, sched, *reps, *putBytes, *shards, runtime.GOMAXPROCS(0))
+	fmt.Printf("%s scaling sweep: scheduler=%s reps=%d put-bytes=%d gomaxprocs=%d\n\n",
+		kind, sched, *reps, *putBytes, runtime.GOMAXPROCS(0))
 	fmt.Printf("%6s %8s %16s %15s %9s %14s %10s %10s\n",
 		"pes", "worlds", "virtual events", "virtual end", "wall s", "events/s", "worlds/s", "ns/event")
 	for _, n := range pes {

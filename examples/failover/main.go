@@ -41,7 +41,9 @@ func main() {
 			return
 		}
 		fmt.Printf("[t=%v] operator: cutting the cable between host 1 and host 2\n", p.Now())
-		job.CutLink(1)
+		if err := job.CutLink(1); err != nil {
+			log.Fatal(err)
+		}
 		// Give the heartbeat monitors time to notice, then keep working
 		// around the hole: host 0 is still reachable leftward.
 		p.Sleep(3_000_000)

@@ -172,7 +172,9 @@ func TestFacadeCutLinkDeadlockDiagnosis(t *testing.T) {
 		sym := pe.MustMalloc(p, 64)
 		pe.BarrierAll(p)
 		if pe.ID() == 0 {
-			job.CutLink(0)
+			if err := job.CutLink(0); err != nil {
+				t.Error(err)
+			}
 			pe.PutBytes(p, 1, sym, make([]byte, 64))
 		}
 		pe.BarrierAll(p)
@@ -180,6 +182,18 @@ func TestFacadeCutLinkDeadlockDiagnosis(t *testing.T) {
 	err := job.Cluster.Sim.Run()
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("cut-link run should deadlock detectably, got %v", err)
+	}
+}
+
+// TestFacadeCutLinkNoCable: on a fabric with no cable between hosts,
+// CutLink reports an error instead of panicking.
+func TestFacadeCutLinkNoCable(t *testing.T) {
+	for _, kind := range []FabricKind{FabricCXL, FabricPCIeSwitch} {
+		job := NewJob(Config{Hosts: 3, Fabric: kind})
+		if err := job.CutLink(0); err == nil {
+			t.Errorf("%s: CutLink succeeded on a fabric with no cables", kind)
+		}
+		job.Cluster.Sim.Shutdown()
 	}
 }
 
@@ -192,7 +206,11 @@ func TestFacadeHeartbeats(t *testing.T) {
 	if len(hbs) != 6 { // 3 hosts x 2 adapters
 		t.Fatalf("%d heartbeats installed", len(hbs))
 	}
-	job.Cluster.Sim.After(2_000_000, func() { job.CutLink(2) })
+	job.Cluster.Sim.After(2_000_000, func() {
+		if err := job.CutLink(2); err != nil {
+			t.Error(err)
+		}
+	})
 	if err := job.Cluster.Sim.RunUntil(Time(8_000_000)); err != nil {
 		t.Fatal(err)
 	}

@@ -27,9 +27,6 @@ import (
 //	                       that holds no simulation state). Combines with
 //	                       the reset annotation: `// reset: keep; snap:
 //	                       keep — reason`.
-//	//ntblint:shardlocal — on (or above) a peer-state access inside a
-//	                       remote-guarded region: the access is provably
-//	                       same-shard (checked by shardsafe).
 //	//ntblint:cpupolicy  — on (or above) a runtime.NumCPU/GOMAXPROCS
 //	                       call in a simulation package: this is the
 //	                       sanctioned parallelism-policy site, not
@@ -39,12 +36,11 @@ import (
 //	                       adapter, exempt from the full-lifecycle
 //	                       contract (checked by fabriccontract).
 const (
-	DirectiveOrdered    = "ordered"
-	DirectiveAllocOK    = "allocok"
-	DirectiveAllocFree  = "allocfree"
-	DirectiveShardLocal = "shardlocal"
-	DirectiveCPUPolicy  = "cpupolicy"
-	DirectiveNotLink    = "notlink"
+	DirectiveOrdered   = "ordered"
+	DirectiveAllocOK   = "allocok"
+	DirectiveAllocFree = "allocfree"
+	DirectiveCPUPolicy = "cpupolicy"
+	DirectiveNotLink   = "notlink"
 )
 
 const directivePrefix = "//ntblint:"
@@ -88,15 +84,8 @@ func indexDirectives(fset *token.FileSet, files []*ast.File) directiveIndex {
 // starting line or on the line immediately above it — the two
 // conventional placements for a per-site waiver.
 func (p *Pass) Waived(pos token.Pos, directive string) bool {
-	return waivedIn(p.directives, p.Fset, pos, directive)
-}
-
-// waivedIn is Waived against an explicit directive index — the form
-// whole-program analyses use when they check waivers outside any single
-// package's pass (shardsafe's cross-package sweep).
-func waivedIn(idx directiveIndex, fset *token.FileSet, pos token.Pos, directive string) bool {
-	at := fset.Position(pos)
-	lines := idx[at.Filename]
+	at := p.Fset.Position(pos)
+	lines := p.directives[at.Filename]
 	if lines == nil {
 		return false
 	}

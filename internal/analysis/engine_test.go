@@ -44,56 +44,62 @@ func lookupMethod(t *testing.T, pkg *Package, typeName, method string) *types.Fu
 }
 
 // TestEngineCallGraph checks the decl index and the callee/caller edges
-// over the shardsafe fixture: badIndirect calls stamp; stamp's only
-// caller is badIndirect.
+// over the engine fixture: write calls stamp; stamp's only caller is
+// write.
 func TestEngineCallGraph(t *testing.T) {
-	e, pkg := loadFixtureEngine(t, "shardsafe")
+	e, pkg := loadFixtureEngine(t, "engine")
 
 	stamp := lookupFunc(t, pkg, "stamp")
-	badIndirect := lookupMethod(t, pkg, "Port", "badIndirect")
+	write := lookupMethod(t, pkg, "Port", "write")
 
 	if fd, p := e.Decl(stamp); fd == nil || p != pkg {
 		t.Fatalf("Decl(stamp) = (%v, %v), want fixture declaration", fd, p)
 	}
 
 	foundEdge := false
-	for _, callee := range e.Callees(badIndirect) {
+	for _, callee := range e.Callees(write) {
 		if callee == stamp {
 			foundEdge = true
 		}
 	}
 	if !foundEdge {
-		t.Errorf("Callees(badIndirect) is missing stamp")
+		t.Errorf("Callees(write) is missing stamp")
 	}
 
 	callers := e.Callers(stamp)
-	if len(callers) != 1 || callers[0].Caller != badIndirect {
-		t.Errorf("Callers(stamp) = %v, want exactly badIndirect", callers)
+	if len(callers) != 1 || callers[0].Caller != write {
+		t.Errorf("Callers(stamp) = %v, want exactly write", callers)
 	}
 }
 
-// TestEngineReachable checks transitive closure: badRecvIndirect →
-// admit, and closures' calls attributed to their declaring function
-// (goodWrite reaches Post through the literal it passes to it).
+// TestEngineReachable checks transitive closure (register → check →
+// admit) and that closures' calls are attributed to their declaring
+// function (deferred reaches ring only through the literal it passes
+// to After).
 func TestEngineReachable(t *testing.T) {
-	e, pkg := loadFixtureEngine(t, "shardsafe")
+	e, pkg := loadFixtureEngine(t, "engine")
 
-	badRecvIndirect := lookupMethod(t, pkg, "Port", "badRecvIndirect")
+	register := lookupMethod(t, pkg, "Port", "register")
 	admit := lookupMethod(t, pkg, "Port", "admit")
 	stamp := lookupFunc(t, pkg, "stamp")
 
-	reach := e.Reachable([]*types.Func{badRecvIndirect})
+	reach := e.Reachable([]*types.Func{register})
 	if !reach[admit] {
-		t.Errorf("admit not reachable from badRecvIndirect")
+		t.Errorf("admit not reachable from register")
 	}
 	if reach[stamp] {
-		t.Errorf("stamp should not be reachable from badRecvIndirect")
+		t.Errorf("stamp should not be reachable from register")
 	}
 
-	goodWrite := lookupMethod(t, pkg, "Port", "goodWrite")
-	post := lookupMethod(t, pkg, "Sim", "Post")
-	if !e.Reachable([]*types.Func{goodWrite})[post] {
-		t.Errorf("Post not reachable from goodWrite (closure edges lost?)")
+	deferred := lookupMethod(t, pkg, "Port", "deferred")
+	ring := lookupMethod(t, pkg, "Port", "ring")
+	after := lookupMethod(t, pkg, "Sim", "After")
+	reach = e.Reachable([]*types.Func{deferred})
+	if !reach[after] {
+		t.Errorf("After not reachable from deferred")
+	}
+	if !reach[ring] {
+		t.Errorf("ring not reachable from deferred (closure edges lost?)")
 	}
 }
 
@@ -127,7 +133,7 @@ func TestEngineImplementers(t *testing.T) {
 
 // TestEngineMemo checks the memo builds once and is shared.
 func TestEngineMemo(t *testing.T) {
-	e, _ := loadFixtureEngine(t, "shardsafe")
+	e, _ := loadFixtureEngine(t, "engine")
 	builds := 0
 	build := func() any { builds++; return builds }
 	if v := e.Memo("test", build); v.(int) != 1 {
@@ -146,14 +152,14 @@ func TestEngineMemo(t *testing.T) {
 // lint gate's byte-identical output rests on.
 func TestRunParallelDeterministic(t *testing.T) {
 	var pkgs []*Package
-	for _, name := range []string{"shardsafe", "fabriccontract", "waiverdrift", "simdet"} {
+	for _, name := range []string{"allocfree", "fabriccontract", "waiverdrift", "simdet"} {
 		pkg, err := LoadDir(filepath.Join("testdata", "src", name), "fixture/"+name)
 		if err != nil {
 			t.Fatalf("loading fixture %s: %v", name, err)
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	analyzers := []*Analyzer{Simdet, Shardsafe, Fabriccontract, Waiverdrift}
+	analyzers := []*Analyzer{Simdet, Allocfree, Fabriccontract, Waiverdrift}
 
 	base, timings := RunParallel(pkgs, analyzers, 1)
 	if len(base) == 0 {

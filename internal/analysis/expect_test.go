@@ -95,51 +95,11 @@ func TestResetcheckFixture(t *testing.T)     { runFixture(t, Resetcheck, "resetc
 func TestSnapcheckFixture(t *testing.T)      { runFixture(t, Snapcheck, "snapcheck") }
 func TestAllocfreeFixture(t *testing.T)      { runFixture(t, Allocfree, "allocfree") }
 func TestParkcheckFixture(t *testing.T)      { runFixture(t, Parkcheck, "parkcheck") }
-func TestShardsafeFixture(t *testing.T)      { runFixture(t, Shardsafe, "shardsafe") }
 func TestFabriccontractFixture(t *testing.T) { runFixture(t, Fabriccontract, "fabriccontract") }
 func TestWaiverdriftFixture(t *testing.T)    { runFixture(t, Waiverdrift, "waiverdrift") }
 
-// TestShardsafeSeededOmission deletes the sim.Post wrapping from the
-// shard fixture's sanctioned write — the exact bug shardsafe exists to
-// catch — and asserts the direct store is reported. The unmodified
-// fixture reports nothing at that site (TestShardsafeFixture), so this
-// proves the Post wrapper is what the analyzer credits.
-func TestShardsafeSeededOmission(t *testing.T) {
-	src, err := os.ReadFile(filepath.Join("testdata", "src", "shardsafe", "shardsafe.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(src)
-	begin := strings.Index(text, "// seed:post-begin")
-	end := strings.Index(text, "// seed:post-end")
-	if begin < 0 || end < 0 || end <= begin {
-		t.Fatal("shardsafe fixture lost its seed:post markers")
-	}
-	end += len("// seed:post-end")
-	mutated := text[:begin] + "peer.spads[idx] = val // seeded omission: Post deleted" + text[end:]
-
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "shardsafe.go"), []byte(mutated), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := LoadDir(dir, "fixture/shardsafe")
-	if err != nil {
-		t.Fatalf("loading mutated fixture: %v", err)
-	}
-	omissionLine := 1 + strings.Count(text[:begin], "\n")
-	found := false
-	for _, d := range Run([]*Package{pkg}, []*Analyzer{Shardsafe}) {
-		if d.Pos.Line == omissionLine && strings.Contains(d.Message, "direct access to remote peer state peer.spads") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("shardsafe did not report the seeded sim.Post omission at line %d", omissionLine)
-	}
-}
-
 // TestSuiteCleanOnRepo is the self-host check: the merged tree must lint
-// clean under the full 8-analyzer suite, scoped exactly as cmd/ntblint
+// clean under the full 7-analyzer suite, scoped exactly as cmd/ntblint
 // scopes it (ApplyRepoScopes is the shared source of truth).
 func TestSuiteCleanOnRepo(t *testing.T) {
 	if testing.Short() {
@@ -160,8 +120,8 @@ func TestSuiteCleanOnRepo(t *testing.T) {
 		}
 	}()
 	ApplyRepoScopes(analyzers)
-	if len(analyzers) != 8 {
-		t.Fatalf("suite has %d analyzers, want 8", len(analyzers))
+	if len(analyzers) != 7 {
+		t.Fatalf("suite has %d analyzers, want 7", len(analyzers))
 	}
 	for _, d := range Run(pkgs, analyzers) {
 		t.Errorf("%s", d)

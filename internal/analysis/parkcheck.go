@@ -76,5 +76,5 @@ func checkPreallocatedTicker(pass *Pass, arg ast.Expr) {
 
 // Analyzers returns the full ntblint suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Simdet, Resetcheck, Snapcheck, Allocfree, Parkcheck, Shardsafe, Fabriccontract, Waiverdrift}
+	return []*Analyzer{Simdet, Resetcheck, Snapcheck, Allocfree, Parkcheck, Fabriccontract, Waiverdrift}
 }

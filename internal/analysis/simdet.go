@@ -102,7 +102,7 @@ func checkForbiddenCall(pass *Pass, call *ast.CallExpr) {
 		}
 	case "runtime":
 		// Core-count reads make results depend on the machine running
-		// them; shard-count and worker policy belong in the bench/cmd
+		// them; worker policy belongs in the bench/cmd
 		// layers, behind the one waived site.
 		if (fn.Name() == "NumCPU" || fn.Name() == "GOMAXPROCS") && !pass.Waived(call.Pos(), DirectiveCPUPolicy) {
 			pass.Reportf(call.Pos(),

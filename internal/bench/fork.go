@@ -85,9 +85,7 @@ var snapCache struct {
 // stale-prefix snapshot — the mutated value is a different key (the
 // same guarantee checkoutWorld enforces for pooled worlds).
 func snapshotFingerprint(par *model.Params, n int, opts core.Options, sched sim.SchedulerKind, fab fabric.Kind, prefixKey string, seed int64) string {
-	// The cache only ever serves single-simulator worlds (sharded sweep
-	// points replay; see runRingWorldPrefixed), hence the fixed shards=1.
-	return worldFingerprint(par, n, opts, sched, fab, 1) + fmt.Sprintf("|prefix=%s|seed=%d", prefixKey, seed)
+	return worldFingerprint(par, n, opts, sched, fab) + fmt.Sprintf("|prefix=%s|seed=%d", prefixKey, seed)
 }
 
 // DrainSnapshots discards every cached prefix snapshot.
@@ -140,8 +138,8 @@ func prefixSnapshot(label string, par *model.Params, n int, opts core.Options, p
 		// reports saving — matches what a recycled pooled world would
 		// record. Whether a prefix build hits the pool depends on worker
 		// timing; the counts must not.
-		if err := w.Cluster.RunSim(); err != nil {
-			w.Cluster.ShutdownSim()
+		if err := w.Cluster.Sim.Run(); err != nil {
+			w.Cluster.Sim.Shutdown()
 			panic(fmt.Sprintf("bench: %s: prefix %q daemon boot: %v", label, prefixKey, err))
 		}
 		w.Reset()
@@ -151,9 +149,9 @@ func prefixSnapshot(label string, par *model.Params, n int, opts core.Options, p
 		run = func(p *sim.Proc, pe *core.PE) {}
 	}
 	err := w.RunKeep(run)
-	worldEvents.Add(w.Cluster.EventsExecuted())
+	worldEvents.Add(w.Cluster.Sim.EventsExecuted())
 	if err != nil {
-		w.Cluster.ShutdownSim()
+		w.Cluster.Sim.Shutdown()
 		panic(fmt.Sprintf("bench: %s: prefix %q: %v", label, prefixKey, err))
 	}
 	snap := w.Snapshot()
@@ -161,7 +159,7 @@ func prefixSnapshot(label string, par *model.Params, n int, opts core.Options, p
 	if poolable {
 		checkinWorld(w, n, opts)
 	} else {
-		w.Cluster.ShutdownSim()
+		w.Cluster.Sim.Shutdown()
 	}
 	storeSnapshot(key, snap)
 	return snap
@@ -219,17 +217,17 @@ func runForked(label string, par *model.Params, n int, opts core.Options, prefix
 	err := w.RunKeepForked(body)
 	forkForks.Add(1)
 	forkEventsSaved.Add(snap.Events())
-	worldEvents.Add(w.Cluster.EventsExecuted())
-	recordPointCost(label, w.Cluster.EventsExecuted())
+	worldEvents.Add(w.Cluster.Sim.EventsExecuted())
+	recordPointCost(label, w.Cluster.Sim.EventsExecuted())
 	if err != nil {
-		w.Cluster.ShutdownSim()
+		w.Cluster.Sim.Shutdown()
 		if label != "" {
 			panic(fmt.Sprintf("bench: %s: %v", label, err))
 		}
 		panic(err)
 	}
 	if !poolable {
-		w.Cluster.ShutdownSim()
+		w.Cluster.Sim.Shutdown()
 		return
 	}
 	w.Reset()

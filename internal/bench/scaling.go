@@ -20,27 +20,23 @@ import (
 func ScalePEs() []int { return []int{3, 16, 64, 256, 1024} }
 
 // scaleRounds is how many neighbour puts each PE issues per world. More
-// than one round keeps the inter-barrier phase — the part a sharded
-// world executes concurrently — a meaningful fraction of the run.
+// than one round keeps the inter-barrier phase a meaningful fraction of
+// the run.
 const scaleRounds = 3
 
 // ScaleWorkload runs one n-PE ring world through the pool: every PE
 // allocates a symmetric block, barriers, puts putBytes to its right
 // neighbour scaleRounds times (one hop under the paper's rightward
 // routing, so total traffic grows linearly with n), and barriers again.
-// The world runs in the paper's memcpy mode: CPU-mode window writes are
-// in the conservative sharding's exactness domain (PROTOCOL.md §14), so
-// this workload's virtual timeline is identical at every -shards
-// setting — the property the scaleperf determinism check rides on. The
-// world's virtual events and world count accrue to the package tallies,
+// The world runs in the paper's memcpy mode. The world's virtual events and world count accrue to the package tallies,
 // which the cmd layer samples around calls to compute events/s.
 func ScaleWorkload(par *model.Params, n, putBytes int) {
 	ScaleWorkloadTime(par, n, putBytes)
 }
 
 // ScaleWorkloadTime runs the scaling workload and returns PE 0's final
-// virtual time — the cross-shard determinism witness cmd/scaleperf
-// prints and the sharding tests compare across shard counts.
+// virtual time, the run-over-run determinism witness cmd/scaleperf
+// prints.
 func ScaleWorkloadTime(par *model.Params, n, putBytes int) sim.Time {
 	var end sim.Time
 	label := "scale/n=" + strconv.Itoa(n)

@@ -57,10 +57,9 @@ var worldPool struct {
 // sweep over schedulers must not hand a heap-scheduled world to a
 // ladder-scheduled measurement — and the fabric backend, so a
 // cross-fabric sweep never recycles a switch-topology world into a ring
-// measurement — and the shard count, so a conservative-DES sweep never
-// hands a 4-shard world to a single-simulator measurement or vice versa.
-func worldFingerprint(par *model.Params, n int, opts core.Options, sched sim.SchedulerKind, fab fabric.Kind, shards int) string {
-	return fmt.Sprintf("%+v|n=%d|%+v|sched=%s|fab=%s|shards=%d", *par, n, opts, sched, fab, shards)
+// measurement.
+func worldFingerprint(par *model.Params, n int, opts core.Options, sched sim.SchedulerKind, fab fabric.Kind) string {
+	return fmt.Sprintf("%+v|n=%d|%+v|sched=%s|fab=%s", *par, n, opts, sched, fab)
 }
 
 // SetWorldPool enables or disables world pooling for subsequent
@@ -99,7 +98,7 @@ func DrainWorldPool() {
 	worldPool.pes = 0
 	worldPool.mu.Unlock()
 	for _, w := range all {
-		w.Cluster.ShutdownSim()
+		w.Cluster.Sim.Shutdown()
 	}
 }
 
@@ -114,7 +113,7 @@ func checkoutWorld(par *model.Params, n int, opts core.Options) (*core.World, bo
 	if !worldPoolOn.Load() {
 		return nil, false
 	}
-	key := worldFingerprint(par, n, opts, sim.DefaultScheduler(), Fabric(), effectiveShards(n, opts))
+	key := worldFingerprint(par, n, opts, sim.DefaultScheduler(), Fabric())
 	worldPool.mu.Lock()
 	var w *core.World
 	if ws := worldPool.worlds[key]; len(ws) > 0 {
@@ -128,8 +127,8 @@ func checkoutWorld(par *model.Params, n int, opts core.Options) (*core.World, bo
 		worldPool.misses++
 	}
 	worldPool.mu.Unlock()
-	if w != nil && worldFingerprint(w.Cluster.Par, n, opts, w.Cluster.Sim.Scheduler(), w.Cluster.Kind(), w.Cluster.Shards()) != key {
-		w.Cluster.ShutdownSim()
+	if w != nil && worldFingerprint(w.Cluster.Par, n, opts, w.Cluster.Sim.Scheduler(), w.Cluster.Kind()) != key {
+		w.Cluster.Sim.Shutdown()
 		return nil, true
 	}
 	return w, true
@@ -139,10 +138,10 @@ func checkoutWorld(par *model.Params, n int, opts core.Options) (*core.World, bo
 // disabled mid-run or the pool is full, the world is shut down instead.
 func checkinWorld(w *core.World, n int, opts core.Options) {
 	if !worldPoolOn.Load() {
-		w.Cluster.ShutdownSim()
+		w.Cluster.Sim.Shutdown()
 		return
 	}
-	key := worldFingerprint(w.Cluster.Par, n, opts, w.Cluster.Sim.Scheduler(), w.Cluster.Kind(), w.Cluster.Shards())
+	key := worldFingerprint(w.Cluster.Par, n, opts, w.Cluster.Sim.Scheduler(), w.Cluster.Kind())
 	worldPool.mu.Lock()
 	// Admit if both budgets hold; a world bigger than the whole PE
 	// budget is still admitted when the pool is empty, so thousand-PE
@@ -150,7 +149,7 @@ func checkinWorld(w *core.World, n int, opts core.Options) {
 	if worldPool.total >= maxPooledWorlds ||
 		(worldPool.pes+n > maxPooledPEs && worldPool.total > 0) {
 		worldPool.mu.Unlock()
-		w.Cluster.ShutdownSim()
+		w.Cluster.Sim.Shutdown()
 		return
 	}
 	if worldPool.worlds == nil {

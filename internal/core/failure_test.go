@@ -14,6 +14,15 @@ import (
 // detector names the stuck process — the diagnosis an operator of the
 // real system would assemble from hung ioctls.
 
+// mustUnplug fails host i's rightward cable, failing the test if the
+// fabric refuses.
+func mustUnplug(t *testing.T, c *fabric.Cluster, i int) {
+	t.Helper()
+	if err := c.Unplug(i); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestPutAcrossCutLinkHangsDetectably(t *testing.T) {
 	s := sim.New()
 	c, err := fabric.NewRing(s, model.Default(), 3)
@@ -25,7 +34,7 @@ func TestPutAcrossCutLinkHangsDetectably(t *testing.T) {
 		sym := pe.MustMalloc(p, 4096)
 		pe.BarrierAll(p)
 		if pe.ID() == 0 {
-			c.CutLink(0) // sever 0 -> 1
+			mustUnplug(t, c, 0) // sever 0 -> 1
 			pe.PutBytes(p, 1, sym, make([]byte, 4096))
 		}
 		pe.BarrierAll(p)
@@ -56,7 +65,7 @@ func TestTrafficAvoidingCutLinkStillWorks(t *testing.T) {
 		sym := pe.MustMalloc(p, 8)
 		pe.BarrierAll(p) // init-time traffic predates the cut
 		if pe.ID() == 0 {
-			c.CutLink(1) // sever 1 -> 2
+			mustUnplug(t, c, 1) // sever 1 -> 2
 			pe.PutBytes(p, 1, sym, []byte("to-host1"))
 			pe.PutBytes(p, 2, sym, []byte("to-host2"))
 			back1 = make([]byte, 8)
@@ -87,7 +96,7 @@ func TestCutLinkUnderPipelinedProtocol(t *testing.T) {
 		sym := pe.MustMalloc(p, 256<<10)
 		pe.BarrierAll(p)
 		if pe.ID() == 0 {
-			c.CutLink(0)
+			mustUnplug(t, c, 0)
 			// More chunks than credits: must block.
 			pe.PutBytes(p, 1, sym, make([]byte, 256<<10))
 		}
@@ -96,5 +105,45 @@ func TestCutLinkUnderPipelinedProtocol(t *testing.T) {
 	err = s.Run()
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("expected detectable hang, got %v", err)
+	}
+}
+
+// TestClusterUnplugSurface: the uniform failure-injection surface.
+// Point-to-point fabrics support Unplug; shared-core fabrics report why
+// they cannot. A negative host index wraps modulo the host count.
+func TestClusterUnplugSurface(t *testing.T) {
+	build := func(kind fabric.Kind, n int) *fabric.Cluster {
+		c, err := fabric.New(fabric.Config{Sim: sim.New(), Par: model.Default(), Hosts: n, Kind: kind})
+		if err != nil {
+			t.Fatalf("building %s: %v", kind, err)
+		}
+		return c
+	}
+
+	ring := build(fabric.KindNTBRing, 3)
+	if err := ring.Unplug(0); err != nil {
+		t.Errorf("ring Unplug: %v", err)
+	}
+	pair := build(fabric.KindNTBPair, 2)
+	if err := pair.Unplug(0); err != nil {
+		t.Errorf("pair Unplug: %v", err)
+	}
+	for _, kind := range []fabric.Kind{fabric.KindPCIeSwitch, fabric.KindCXL} {
+		c := build(kind, 3)
+		err := c.Unplug(0)
+		if err == nil || !strings.Contains(err.Error(), "unplug not supported on") {
+			t.Errorf("%s Unplug: err %v, want not-supported", kind, err)
+		}
+	}
+
+	// A negative index counts leftward: -1 is the last host's cable.
+	neg := build(fabric.KindNTBRing, 3)
+	if err := neg.Unplug(-1); err != nil {
+		t.Fatalf("ring Unplug(-1): %v", err)
+	}
+	for i, h := range neg.Hosts {
+		if want := i != 2; h.Right.LinkUp() != want {
+			t.Errorf("after Unplug(-1): host %d right link up = %v, want %v", i, h.Right.LinkUp(), want)
+		}
 	}
 }

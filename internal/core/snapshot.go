@@ -55,7 +55,7 @@ func (w *World) Snapshot() *WorldSnapshot {
 		opts:   w.opts,
 		n:      len(w.pes),
 		pes:    make([]peSnapshot, len(w.pes)),
-		events: w.Cluster.EventsExecuted(),
+		events: w.Cluster.Sim.EventsExecuted(),
 	}
 	for i, pe := range w.pes {
 		s.pes[i] = pe.snapshot()
@@ -134,7 +134,7 @@ func (w *World) Fork(s *WorldSnapshot) {
 	// t=0; drive them so the daemons reach the parked state a completed
 	// run leaves them in (a no-op on a recycled world, whose queue is
 	// empty).
-	if err := w.Cluster.RunSim(); err != nil {
+	if err := w.Cluster.Sim.Run(); err != nil {
 		panic(fmt.Sprintf("core: fork daemon boot failed: %v", err))
 	}
 	w.Reset()
@@ -179,11 +179,11 @@ func (pe *PE) restore(s *peSnapshot) {
 // LaunchForked spawns one application process per PE running body
 // directly, without re-running shmem_init: a forked world already
 // carries the post-init runtime the snapshot captured. Drive with
-// Cluster.RunSim, or use RunKeepForked.
+// Cluster.Sim.Run, or use RunKeepForked.
 func (w *World) LaunchForked(body func(p *sim.Proc, pe *PE)) {
 	for _, pe := range w.pes {
 		pe := pe
-		pe.hsim.Go(peName("pe:", pe.id), func(p *sim.Proc) {
+		w.Cluster.Sim.Go(peName("pe:", pe.id), func(p *sim.Proc) {
 			body(p, pe)
 		})
 	}
@@ -196,5 +196,5 @@ func (w *World) LaunchForked(body func(p *sim.Proc, pe *PE)) {
 // reference behaviour Fork is tested against.
 func (w *World) RunKeepForked(body func(p *sim.Proc, pe *PE)) error {
 	w.LaunchForked(body)
-	return w.Cluster.RunSim()
+	return w.Cluster.Sim.Run()
 }

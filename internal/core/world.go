@@ -127,10 +127,8 @@ type World struct {
 
 // SetOpTrace installs a hook receiving one event per completed
 // application-level operation (puts, gets, atomics, barriers). The hook
-// runs inline on the virtual timeline and must not block. On a sharded
-// world (fabric.Config.Shards ≥ 2) shard workers invoke it concurrently,
-// so it must be safe for concurrent use there. Install before Run; nil
-// detaches.
+// runs inline on the virtual timeline and must not block. Install
+// before Run; nil detaches.
 func (w *World) SetOpTrace(fn func(OpEvent)) { w.opTrace = fn }
 
 // emitOp reports a completed operation to the trace hook.
@@ -150,11 +148,10 @@ func (pe *PE) emitOp(p *sim.Proc, op string, target, bytes int, start sim.Time) 
 // state.
 type PE struct {
 	id    int
-	world *World         // reset: keep; snap: keep — construction identity
-	link  fabric.Link    // construction identity; reset via its own Reset
-	hsim  *sim.Simulator // reset: keep; snap: keep — construction identity: the host's (shard) simulator
-	par   *model.Params  // reset: keep; snap: keep — construction identity
-	mode  driver.Mode    // reset: keep; snap: keep — construction identity
+	world *World        // reset: keep; snap: keep — construction identity
+	link  fabric.Link   // construction identity; reset via its own Reset
+	par   *model.Params // reset: keep; snap: keep — construction identity
+	mode  driver.Mode   // reset: keep; snap: keep — construction identity
 
 	heap      *mem.Heap
 	finalized bool
@@ -245,7 +242,6 @@ func NewWorld(c *fabric.Cluster, opts Options) *World {
 			id:        h.ID,
 			world:     w,
 			link:      links[i],
-			hsim:      h.Sim,
 			par:       c.Par,
 			mode:      opts.Mode,
 			heap:      mem.NewHeap(c.Par.SymHeapChunk, c.Par.SymHeapMax),
@@ -259,13 +255,13 @@ func NewWorld(c *fabric.Cluster, opts Options) *World {
 	return w
 }
 
-// Launch spawns one application process per PE running body, each on its
-// host's shard simulator. Call Cluster.RunSim (or World.Run) afterwards
+// Launch spawns one application process per PE running body on the
+// world's simulator. Call Cluster.Sim.Run (or World.Run) afterwards
 // to execute.
 func (w *World) Launch(body func(p *sim.Proc, pe *PE)) {
 	for _, pe := range w.pes {
 		pe := pe
-		pe.hsim.Go(peName("pe:", pe.id), func(p *sim.Proc) {
+		w.Cluster.Sim.Go(peName("pe:", pe.id), func(p *sim.Proc) {
 			pe.initPE(p)
 			body(p, pe)
 		})
@@ -275,23 +271,23 @@ func (w *World) Launch(body func(p *sim.Proc, pe *PE)) {
 // Run launches body on every PE and drives the simulation to completion.
 func (w *World) Run(body func(p *sim.Proc, pe *PE)) error {
 	w.Launch(body)
-	err := w.Cluster.RunSim()
+	err := w.Cluster.Sim.Run()
 	// Shut the simulator down so the world's daemon goroutines (service
 	// threads, forwarders, DMA engines) release their references;
 	// harnesses that build many worlds per process rely on this. Use
-	// Launch plus Cluster.RunSim directly to keep a world alive.
-	w.Cluster.ShutdownSim()
+	// Launch plus Cluster.Sim.Run directly to keep a world alive.
+	w.Cluster.Sim.Shutdown()
 	return err
 }
 
 // RunKeep is Run without the teardown: the world's daemons stay parked
 // and its object graph stays live, so a subsequent Reset can recycle the
 // world for another body. A world run this way must eventually be either
-// Reset and rerun or shut down via Cluster.ShutdownSim — dropping it
+// Reset and rerun or shut down via Cluster.Sim.Shutdown — dropping it
 // while daemons are parked leaks their goroutines.
 func (w *World) RunKeep(body func(p *sim.Proc, pe *PE)) error {
 	w.Launch(body)
-	return w.Cluster.RunSim()
+	return w.Cluster.Sim.Run()
 }
 
 // Reset rewinds a cleanly finished world (a nil-error RunKeep) to its

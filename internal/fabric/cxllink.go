@@ -43,7 +43,7 @@ func NewCXL(s *sim.Simulator, par *model.Params, n int) (*Cluster, error) {
 	if n > MaxCXLHosts {
 		return nil, fmt.Errorf("fabric: %d hosts exceed the modelled CXL fabric's %d window decoders", n, MaxCXLHosts)
 	}
-	c := newCluster(s, par, n, KindCXL, 1)
+	c := newCluster(s, par, n, KindCXL)
 	st := &cxlState{
 		server: pcie.NewServer("cxl-fabric", par.CXLWindowBW),
 		routes: make([][]*pcie.Route, n),
@@ -169,8 +169,6 @@ func (l *cxlLink) Sync(p *sim.Proc) bool { return false }
 // Stats reports the link's counters: zero interrupts, zero forwards —
 // the measurable signature of a load/store fabric.
 func (l *cxlLink) Stats() LinkStats { return l.stats }
-
-func (l *cxlLink) Lookahead() sim.Duration { return LookaheadFor(KindCXL, l.c.Par) }
 
 // AssertQuiescent is trivially satisfied: the link holds no queues.
 func (l *cxlLink) AssertQuiescent(op string) {}

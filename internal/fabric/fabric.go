@@ -26,15 +26,6 @@ type Host struct {
 	ID int
 	RC *pcie.Server
 
-	// Sim and Net are the simulator and flow network this host's devices
-	// live on: the cluster-wide ones in an ordinary world, the host's
-	// shard's in a sharded world. Shard is the owning shard index (0
-	// when unsharded). Everything spawned on a host's behalf — device
-	// daemons, PE processes, helper procs — must run on Host.Sim.
-	Sim   *sim.Simulator
-	Net   *pcie.Network
-	Shard int
-
 	Left, Right     *ntb.Port         // nil when the side is not cabled
 	LeftEP, RightEP *driver.Endpoint  // nil when the side is not cabled
 	TxLeft, TxRight *driver.TxChannel // nil when the side is not cabled
@@ -48,24 +39,13 @@ type Host struct {
 	cluster *Cluster
 }
 
-// Cluster is a set of hosts sharing one platform profile and — in an
-// ordinary world — one simulator and flow network. A sharded cluster
-// (PROTOCOL.md §14) spreads its hosts across several shard simulators
-// tied into a sim.ShardGroup, each with its own flow network; Sim and
-// Net then name shard 0's, and code driving the world goes through
-// RunSim/ShutdownSim/EventsExecuted so both shapes behave alike.
+// Cluster is a set of hosts sharing one platform profile, one
+// simulator and one flow network.
 type Cluster struct {
-	Sim   *sim.Simulator // snap: keep — shard-0 alias; snapshotted per shard via sims
-	Par   *model.Params  // reset: keep; snap: keep — construction identity
-	Net   *pcie.Network  // reset: keep; snap: keep — shard-0 alias; handled per shard via nets
+	Sim   *sim.Simulator
+	Par   *model.Params // reset: keep; snap: keep — construction identity
+	Net   *pcie.Network
 	Hosts []*Host
-
-	// Group ties the shard simulators together; nil when unsharded.
-	// sims and nets hold one entry per shard (a single entry — Sim and
-	// Net — when unsharded). All construction identity.
-	Group *sim.ShardGroup // snap: keep — construction identity; member clocks captured via sims
-	sims  []*sim.Simulator // reset: keep; snap: keep — construction identity
-	nets  []*pcie.Network  // reset: keep; snap: keep — construction identity
 
 	kind Kind      // reset: keep — topology identity
 	cxl  *cxlState // reset: keep; snap: keep — shared CXL fabric state holds no mutable registers
@@ -82,41 +62,27 @@ const MaxHosts = driver.MaxHosts
 // outside the buildable range returns a descriptive error rather than
 // panicking — ring size is routinely user input (flags, sweep axes).
 func NewRing(s *sim.Simulator, par *model.Params, n int) (*Cluster, error) {
-	return newRing(s, par, n, 1)
-}
-
-func newRing(s *sim.Simulator, par *model.Params, n, shards int) (*Cluster, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("fabric: a ring needs at least 2 hosts (each cabled to two neighbours), got %d", n)
 	}
 	if n > MaxHosts {
 		return nil, fmt.Errorf("fabric: ring of %d hosts exceeds the %d-host limit of the driver's Info record", n, MaxHosts)
 	}
-	c := newCluster(s, par, n, KindNTBRing, shards)
+	c := newCluster(s, par, n, KindNTBRing)
 	for i, h := range c.Hosts {
 		next := c.Hosts[(i+1)%n]
-		h.Right = ntb.NewPort(fmt.Sprintf("h%d.right", i), h.Sim, h.Net, par, h.RC)
-		next.Left = ntb.NewPort(fmt.Sprintf("h%d.left", next.ID), next.Sim, next.Net, par, next.RC)
+		h.Right = ntb.NewPort(fmt.Sprintf("h%d.right", i), s, c.Net, par, h.RC)
+		next.Left = ntb.NewPort(fmt.Sprintf("h%d.left", next.ID), s, c.Net, par, next.RC)
 		// Both adapters of link i run at that link's chipset-dependent
 		// engine rate (the paper mixes PEX 8733 and 8749 parts).
 		h.Right.SetEngineBW(par.LinkEngineBW(i))
 		next.Left.SetEngineBW(par.LinkEngineBW(i))
-		connectHosts(h.Right, next.Left, h, next)
+		ntb.Connect(h.Right, next.Left)
 	}
 	for _, h := range c.Hosts {
 		h.finishSides(par)
 	}
 	return c, nil
-}
-
-// connectHosts cables two ports, locally when both hosts live on one
-// shard simulator and across the shard boundary otherwise.
-func connectHosts(a, b *ntb.Port, ha, hb *Host) {
-	if ha.Sim == hb.Sim {
-		ntb.Connect(a, b)
-		return
-	}
-	ntb.ConnectRemote(a, b)
 }
 
 // NewPair builds the Fig 8 "independent" baseline: two hosts joined by a
@@ -125,65 +91,32 @@ func connectHosts(a, b *ntb.Port, ha, hb *Host) {
 // consistency with the other constructors (pair building itself cannot
 // fail; bad profiles panic, as everywhere).
 func NewPair(s *sim.Simulator, par *model.Params) (*Cluster, error) {
-	return newPair(s, par, 1)
-}
-
-func newPair(s *sim.Simulator, par *model.Params, shards int) (*Cluster, error) {
-	c := newCluster(s, par, 2, KindNTBPair, shards)
+	c := newCluster(s, par, 2, KindNTBPair)
 	a, b := c.Hosts[0], c.Hosts[1]
-	a.Right = ntb.NewPort("h0.right", a.Sim, a.Net, par, a.RC)
-	b.Left = ntb.NewPort("h1.left", b.Sim, b.Net, par, b.RC)
+	a.Right = ntb.NewPort("h0.right", s, c.Net, par, a.RC)
+	b.Left = ntb.NewPort("h1.left", s, c.Net, par, b.RC)
 	a.Right.SetEngineBW(par.LinkEngineBW(0))
 	b.Left.SetEngineBW(par.LinkEngineBW(0))
-	connectHosts(a.Right, b.Left, a, b)
+	ntb.Connect(a.Right, b.Left)
 	a.finishSides(par)
 	b.finishSides(par)
 	return c, nil
 }
 
-// shardOf maps host i of n onto one of `shards` contiguous host ranges.
-func shardOf(i, n, shards int) int { return i * shards / n }
-
-func newCluster(s *sim.Simulator, par *model.Params, n int, kind Kind, shards int) *Cluster {
+func newCluster(s *sim.Simulator, par *model.Params, n int, kind Kind) *Cluster {
 	if err := par.Validate(); err != nil {
 		panic(fmt.Sprintf("fabric: %v", err))
 	}
-	if shards < 1 {
-		shards = 1
+	if s == nil {
+		panic("fabric: cluster needs a simulator")
 	}
-	c := &Cluster{Par: par, kind: kind}
-	if shards == 1 {
-		if s == nil {
-			panic("fabric: unsharded cluster needs a simulator")
-		}
-		c.Sim = s
-		c.sims = []*sim.Simulator{s}
-		c.nets = []*pcie.Network{pcie.NewNetwork(s)}
-	} else {
-		if s != nil {
-			panic("fabric: a sharded cluster builds its own member simulators")
-		}
-		c.sims = make([]*sim.Simulator, shards)
-		c.nets = make([]*pcie.Network, shards)
-		for i := range c.sims {
-			c.sims[i] = sim.New()
-			c.nets[i] = pcie.NewNetwork(c.sims[i])
-		}
-		c.Group = sim.NewShardGroup(LookaheadFor(kind, par), c.sims...)
-		c.Sim = c.sims[0]
-	}
-	c.Net = c.nets[0]
+	c := &Cluster{Sim: s, Par: par, Net: pcie.NewNetwork(s), kind: kind}
 	for i := 0; i < n; i++ {
-		shard := shardOf(i, n, shards)
-		h := &Host{
+		c.Hosts = append(c.Hosts, &Host{
 			ID:      i,
 			RC:      pcie.NewServer(fmt.Sprintf("rc:h%d", i), par.RootComplexBW),
-			Sim:     c.sims[shard],
-			Net:     c.nets[shard],
-			Shard:   shard,
 			cluster: c,
-		}
-		c.Hosts = append(c.Hosts, h)
+		})
 	}
 	return c
 }
@@ -243,62 +176,27 @@ func (c *Cluster) Reset() {
 	if c.cxl != nil {
 		c.cxl.Reset()
 	}
-	for _, net := range c.nets {
-		net.Reset()
-	}
-	if c.Group != nil {
-		c.Group.Reset()
-	} else {
-		c.Sim.Reset()
-	}
+	c.Net.Reset()
+	c.Sim.Reset()
 }
 
-// Shards returns how many shard simulators the cluster's hosts are
-// spread across (1 when unsharded).
-func (c *Cluster) Shards() int { return len(c.sims) }
+// ShutdownSim calls c.Sim.Shutdown. It exists only for perfbench's
+// pinned callers; code in this module calls the simulator directly.
+func (c *Cluster) ShutdownSim() { c.Sim.Shutdown() }
 
-// RunSim drives the world's simulation to completion — the shard
-// group's conservative window loop when sharded, the plain scheduler
-// otherwise.
-func (c *Cluster) RunSim() error {
-	if c.Group != nil {
-		return c.Group.Run()
-	}
-	return c.Sim.Run()
-}
-
-// ShutdownSim releases every simulator goroutine the cluster owns (all
-// shard members and their window workers).
-func (c *Cluster) ShutdownSim() {
-	if c.Group != nil {
-		c.Group.Shutdown()
-		return
-	}
-	c.Sim.Shutdown()
-}
-
-// EventsExecuted sums dispatched events across the cluster's shard
-// simulators — the same kernel-cost measure at any shard count.
-func (c *Cluster) EventsExecuted() uint64 {
-	if c.Group != nil {
-		return c.Group.EventsExecuted()
-	}
-	return c.Sim.EventsExecuted()
-}
+// EventsExecuted returns c.Sim.EventsExecuted. It exists only for
+// perfbench's pinned callers.
+func (c *Cluster) EventsExecuted() uint64 { return c.Sim.EventsExecuted() }
 
 // Unplug is the uniform failure-injection surface: it fails the
 // rightward cable of host i where the fabric has one, and reports a
 // descriptive error where it does not — the pcie-switch and cxl fabrics
-// have no cable to pull (their hosts meet at a shared fabric core), and
-// a sharded world pins its cables for the conservative-synchronisation
-// contract. Campaign tooling probes capability through the error rather
+// have no cable to pull (their hosts meet at a shared fabric core).
+// Campaign tooling probes capability through the error rather
 // than discovering a missing method.
 func (c *Cluster) Unplug(i int) error {
 	switch c.kind {
 	case KindNTBRing, KindNTBPair:
-		if c.Group != nil {
-			return fmt.Errorf("fabric: unplug not supported on a sharded %s world (cross-shard cables are pinned); run with -shards 1", c.kind)
-		}
 		h := c.Hosts[((i%c.N())+c.N())%c.N()]
 		if h.Right == nil {
 			return fmt.Errorf("fabric: host %d has no rightward cable to unplug", h.ID)
@@ -308,16 +206,6 @@ func (c *Cluster) Unplug(i int) error {
 	default:
 		return fmt.Errorf("fabric: unplug not supported on %s (no cable between hosts; the fabric core is shared)", c.kind)
 	}
-}
-
-// CutLink fails the cable between host i and host (i+1) mod N, for
-// failure injection (see ntb.Port.Unplug for the resulting semantics).
-func (c *Cluster) CutLink(i int) {
-	h := c.Hosts[i%c.N()]
-	if h.Right == nil {
-		panic(fmt.Sprintf("fabric: host %d has no rightward cable", h.ID))
-	}
-	h.Right.Unplug()
 }
 
 // N returns the number of hosts in the cluster.

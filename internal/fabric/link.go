@@ -90,76 +90,27 @@ func MaxHostsFor(k Kind) int {
 	}
 }
 
-// Shardable reports whether the backend supports conservative
-// parallel-DES sharding (PROTOCOL.md §14). The NTB fabrics do: every
-// cross-host interaction crosses a cable whose cheapest operation bounds
-// the lookahead. The switch fabric routes every pair through one shared
-// switch-core flow server and the CXL fabric completes remote stores
-// inline under a shared home-agent mutex — both are single-shard by
-// construction.
-func Shardable(k Kind) bool {
-	return k == KindNTBRing || k == KindNTBPair
-}
-
-// LookaheadFor returns the conservative cross-shard synchronisation
-// bound of a backend under the given profile: the minimum virtual time
-// in which one host can affect another. For the NTB fabrics that is the
-// cheapest cross-cable operation — a posted MMIO write — capped at half
-// the non-posted read so a remote read fits a there-and-back pair of
-// posts; for CXL it is the fixed per-operation window latency. Every
-// backend reports a bound (the Link contract requires one) even where
-// Shardable says the fabric cannot split.
-func LookaheadFor(k Kind, par *model.Params) sim.Duration {
-	if k == KindCXL {
-		return par.CXLLatency
-	}
-	l := par.MMIOWrite
-	if half := par.MMIORead / 2; half < l {
-		l = half
-	}
-	return l
-}
-
 // Config describes a cluster to build; New is the validated entry point
 // every topology constructor funnels through.
 type Config struct {
-	// Sim is the world's simulator. It must be nil when Shards >= 2: a
-	// sharded cluster builds one member simulator per shard itself (with
-	// the process-default scheduler) and ties them into a
-	// sim.ShardGroup.
 	Sim   *sim.Simulator
 	Par   *model.Params
 	Hosts int
 	Kind  Kind
-	// Shards splits the cluster's hosts across that many shard
-	// simulators (contiguous host ranges), 0 or 1 meaning the ordinary
-	// single-simulator world. Only shardable backends accept >= 2.
-	Shards int
 }
 
 // New builds a cluster of the configured kind. Host-count limits are
 // per-backend: rings scale to MaxHosts, pairs are exactly two hosts, the
 // switch is bounded by its port count, CXL by its window decoder count.
 func New(cfg Config) (*Cluster, error) {
-	if cfg.Shards >= 2 {
-		if !Shardable(cfg.Kind) {
-			return nil, fmt.Errorf("fabric: the %s fabric cannot shard (shared fabric core); run with -shards 1", cfg.Kind)
-		}
-		if cfg.Sim != nil {
-			return nil, fmt.Errorf("fabric: a sharded cluster builds its own member simulators; leave Config.Sim nil")
-		}
-		if cfg.Shards > cfg.Hosts {
-			return nil, fmt.Errorf("fabric: %d shards for %d hosts; a shard needs at least one host", cfg.Shards, cfg.Hosts)
-		}
-	}
 	switch cfg.Kind {
 	case KindNTBRing:
-		return newRing(cfg.Sim, cfg.Par, cfg.Hosts, cfg.Shards)
+		return NewRing(cfg.Sim, cfg.Par, cfg.Hosts)
 	case KindNTBPair:
 		if cfg.Hosts != 2 {
 			return nil, fmt.Errorf("fabric: the ntb-pair fabric joins exactly 2 hosts by one cable, got %d", cfg.Hosts)
 		}
-		return newPair(cfg.Sim, cfg.Par, cfg.Shards)
+		return NewPair(cfg.Sim, cfg.Par)
 	case KindPCIeSwitch:
 		return NewSwitch(cfg.Sim, cfg.Par, cfg.Hosts)
 	case KindCXL:
@@ -270,11 +221,6 @@ type Link interface {
 	// drained: no queued or mid-service inbound work, no staged relays,
 	// no buffered tokens.
 	AssertQuiescent(op string)
-	// Lookahead reports the backend's conservative cross-shard
-	// synchronisation bound — the minimum virtual time in which this
-	// host can affect another (PROTOCOL.md §14). Equal across a
-	// cluster's links; meaningful even on fabrics Shardable rejects.
-	Lookahead() sim.Duration
 	// Snapshot captures the link's mutable state (stats, protocol
 	// cursors); Restore applies a snapshot from a same-shaped link.
 	Snapshot() any

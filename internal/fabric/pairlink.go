@@ -82,8 +82,8 @@ func (l *pairLink) Start(deliver Handler) {
 	})
 	port := l.out.Port
 	l.ack = func(pp *sim.Proc) { driver.Ack(pp, port) }
-	l.host.Sim.GoDaemon(fmt.Sprintf("shmem-svc:%d", l.host.ID), l.serve)
-	l.host.Sim.GoDaemon(fmt.Sprintf("shmem-fwd:%d", l.host.ID), l.forward)
+	l.c.Sim.GoDaemon(fmt.Sprintf("shmem-svc:%d", l.host.ID), l.serve)
+	l.c.Sim.GoDaemon(fmt.Sprintf("shmem-fwd:%d", l.host.ID), l.forward)
 }
 
 // Boot runs the pre-setup exchange over the single cable and validates
@@ -221,8 +221,6 @@ func (l *pairLink) waitToken(p *sim.Proc, q *sim.Queue[struct{}]) {
 
 // Stats reports the link's doorbell counter (nothing is ever forwarded).
 func (l *pairLink) Stats() LinkStats { return l.stats }
-
-func (l *pairLink) Lookahead() sim.Duration { return LookaheadFor(KindNTBPair, l.c.Par) }
 
 // AssertQuiescent panics unless the link has fully drained.
 func (l *pairLink) AssertQuiescent(op string) {

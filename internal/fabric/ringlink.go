@@ -137,8 +137,8 @@ func (l *ringLink) Start(deliver Handler) {
 	if l.rxRight != nil {
 		l.relRight = l.rxRight.Release
 	}
-	l.host.Sim.GoDaemon(fmt.Sprintf("shmem-svc:%d", l.host.ID), l.serve)
-	l.host.Sim.GoDaemon(fmt.Sprintf("shmem-fwd:%d", l.host.ID), l.forward)
+	l.c.Sim.GoDaemon(fmt.Sprintf("shmem-svc:%d", l.host.ID), l.serve)
+	l.c.Sim.GoDaemon(fmt.Sprintf("shmem-fwd:%d", l.host.ID), l.forward)
 }
 
 // Boot runs the paper's pre-setup exchange and validates discovery
@@ -431,8 +431,6 @@ func oppositeDir(d driver.Dir) driver.Dir {
 
 // Stats reports the link's doorbell and relay counters.
 func (l *ringLink) Stats() LinkStats { return l.stats }
-
-func (l *ringLink) Lookahead() sim.Duration { return LookaheadFor(KindNTBRing, l.c.Par) }
 
 // AssertQuiescent panics unless the link has fully drained — the shared
 // precondition of Reset and Snapshot.

@@ -18,12 +18,8 @@ import (
 type ClusterSnapshot struct {
 	n    int
 	kind Kind
-	// One kernel clock and flow-network image per shard simulator (a
-	// single entry for the ordinary one-simulator world). Member clocks
-	// of a quiescent sharded world legitimately differ: each shard
-	// stops at its own last event.
-	sims []sim.Snapshot
-	nets []pcie.NetSnapshot
+	sim  sim.Snapshot
+	net  pcie.NetSnapshot
 	// Per-host device images; entries are nil/zero when the side is not
 	// cabled, mirroring Host.
 	left, right []*ntb.PortSnapshot
@@ -33,18 +29,8 @@ type ClusterSnapshot struct {
 	meshTx [][]driver.TxSnapshot
 }
 
-// Time returns the virtual time the snapshot was captured at: the
-// latest member clock, i.e. the time of the last event executed
-// anywhere in the world.
-func (s *ClusterSnapshot) Time() sim.Time {
-	t := s.sims[0].Now()
-	for _, m := range s.sims[1:] {
-		if m.Now() > t {
-			t = m.Now()
-		}
-	}
-	return t
-}
+// Time returns the virtual time the snapshot was captured at.
+func (s *ClusterSnapshot) Time() sim.Time { return s.sim.Now() }
 
 // Snapshot captures a quiescent cluster: the simulator must satisfy the
 // Reset preconditions (no pending events, only parked daemons), the flow
@@ -58,10 +44,8 @@ func (c *Cluster) Snapshot() *ClusterSnapshot {
 		right: make([]*ntb.PortSnapshot, c.N()),
 		txL:   make([]driver.TxSnapshot, c.N()),
 		txR:   make([]driver.TxSnapshot, c.N()),
-	}
-	for i := range c.sims {
-		s.sims = append(s.sims, c.sims[i].Snapshot())
-		s.nets = append(s.nets, c.nets[i].Snapshot())
+		sim:   c.Sim.Snapshot(),
+		net:   c.Net.Snapshot(),
 	}
 	for i, h := range c.Hosts {
 		if h.Left != nil {
@@ -121,11 +105,6 @@ func (c *Cluster) Restore(s *ClusterSnapshot) {
 			}
 		}
 	}
-	if len(c.sims) != len(s.sims) {
-		panic(fmt.Sprintf("fabric: restore of a %d-shard cluster from a %d-shard snapshot", len(c.sims), len(s.sims)))
-	}
-	for i := range c.sims {
-		c.nets[i].Restore(s.nets[i])
-		c.sims[i].Restore(s.sims[i])
-	}
+	c.Net.Restore(s.net)
+	c.Sim.Restore(s.sim)
 }

@@ -28,7 +28,7 @@ func NewSwitch(s *sim.Simulator, par *model.Params, n int) (*Cluster, error) {
 	if n > MaxSwitchHosts {
 		return nil, fmt.Errorf("fabric: %d hosts exceed the modelled switch's %d downstream ports", n, MaxSwitchHosts)
 	}
-	c := newCluster(s, par, n, KindPCIeSwitch, 1)
+	c := newCluster(s, par, n, KindPCIeSwitch)
 	core := pcie.NewServer("switch-core", par.SwitchCoreBW)
 	uplinks := make([]*pcie.Server, n)
 	for i, h := range c.Hosts {
@@ -125,8 +125,8 @@ func (l *switchLink) Start(deliver Handler) {
 		port := ep.Port
 		l.acks[port] = func(pp *sim.Proc) { driver.Ack(pp, port) }
 	}
-	l.host.Sim.GoDaemon(fmt.Sprintf("shmem-svc:%d", l.host.ID), l.serve)
-	l.host.Sim.GoDaemon(fmt.Sprintf("shmem-fwd:%d", l.host.ID), l.forward)
+	l.c.Sim.GoDaemon(fmt.Sprintf("shmem-svc:%d", l.host.ID), l.serve)
+	l.c.Sim.GoDaemon(fmt.Sprintf("shmem-fwd:%d", l.host.ID), l.forward)
 }
 
 // Boot programs every mesh port's LUT with its peer, publishes this
@@ -247,8 +247,6 @@ func (l *switchLink) Sync(p *sim.Proc) bool { return false }
 
 // Stats reports the link's doorbell counter (nothing is ever relayed).
 func (l *switchLink) Stats() LinkStats { return l.stats }
-
-func (l *switchLink) Lookahead() sim.Duration { return LookaheadFor(KindPCIeSwitch, l.c.Par) }
 
 // AssertQuiescent panics unless the link has fully drained.
 func (l *switchLink) AssertQuiescent(op string) {

@@ -15,7 +15,7 @@ import (
 // All blocking methods must be called from the process's own body. A
 // body must not call runtime.Goexit (t.FailNow included): the coroutine
 // cannot survive it, and iter.Pull re-raises the Goexit in the goroutine
-// running the scheduler — the caller of Run, or a ShardGroup worker.
+// running the scheduler, which is the caller of Run.
 type Proc struct {
 	sim  *Simulator
 	name string

@@ -40,13 +40,6 @@ type Simulator struct {
 	running bool  // reset: keep — Reset panics unless false
 	killed  bool  // reset: keep — Shutdown is terminal; Reset panics if set
 
-	// Sharded execution (see shard.go). group and shard are construction
-	// identity: a member simulator belongs to its ShardGroup for life.
-	// windowEnd is only meaningful inside runWindow; Reset rezeroes it.
-	group     *ShardGroup // reset: keep; snap: keep — construction identity
-	shard     int         // reset: keep; snap: keep — construction identity
-	windowEnd Time        // snap: keep — only live inside runWindow; zero at any snapshot point
-
 	executed uint64 // events dispatched since New or Reset; snap: keep — Restore rezeroes it, the world snapshot records its own event count
 }
 
@@ -215,13 +208,6 @@ func (s *Simulator) RunUntil(deadline Time) error {
 }
 
 func (s *Simulator) run(deadline Time) error {
-	if s.group != nil {
-		return fmt.Errorf("sim: Run on shard %d of a %d-shard group; drive the world through ShardGroup.Run", s.shard, len(s.group.members))
-	}
-	return s.runFree(deadline)
-}
-
-func (s *Simulator) runFree(deadline Time) error {
 	if s.running {
 		return fmt.Errorf("sim: Run called reentrantly")
 	}
@@ -275,71 +261,6 @@ loop:
 	return nil
 }
 
-// runWindow executes events with time strictly below end (as possibly
-// shrunk by Post, see windowEnd). Unlike RunUntil it never advances the
-// clock to the boundary: now stays at the last dispatched event, so a
-// later, larger window continues seamlessly. Parked processes are not a
-// deadlock here — cross-shard mail merged between windows may wake them.
-// The caller (ShardGroup.Run, possibly via a worker goroutine) inspects
-// member state only between windows, so process code still observes the
-// one-process-at-a-time kernel guarantee.
-func (s *Simulator) runWindow(end Time) error {
-	if s.running {
-		return fmt.Errorf("sim: Run called reentrantly")
-	}
-	s.running = true
-	s.windowEnd = end
-	defer func() { s.running = false }()
-
-	for s.fatal == nil {
-		var ev event
-		next := s.events.peek()
-		switch {
-		case next != nil && next.t == s.now:
-			ev = s.events.pop()
-		case s.readyHead < len(s.ready):
-			ev = s.ready[s.readyHead]
-			s.ready[s.readyHead] = event{} // release fn/proc for GC
-			s.readyHead++
-			if s.readyHead == len(s.ready) {
-				s.ready = s.ready[:0]
-				s.readyHead = 0
-			}
-		case next != nil:
-			if next.t >= s.windowEnd {
-				return nil
-			}
-			ev = s.events.pop()
-			s.now = ev.t
-		default:
-			return nil
-		}
-		s.executed++
-		switch {
-		case ev.proc != nil:
-			s.dispatch(ev.proc)
-		case ev.ticker != nil:
-			ev.ticker.Tick(ev.targ)
-		default:
-			ev.fn()
-		}
-	}
-	return s.fatal
-}
-
-// nextTime reports the timestamp of the earliest pending event, or false
-// when the queue is empty. Events parked in the ready FIFO are at now by
-// construction.
-func (s *Simulator) nextTime() (Time, bool) {
-	if s.readyHead < len(s.ready) {
-		return s.now, true
-	}
-	if ev := s.events.peek(); ev != nil {
-		return ev.t, true
-	}
-	return 0, false
-}
-
 func (s *Simulator) nondaemonProcs() int {
 	n := 0
 	for p := range s.procs {
@@ -382,7 +303,6 @@ func (s *Simulator) Reset() {
 	s.now = 0
 	s.seq = 0
 	s.executed = 0
-	s.windowEnd = 0
 	s.events.reset()
 	s.ready = s.ready[:0]
 	s.readyHead = 0
