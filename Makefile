@@ -20,8 +20,11 @@ test:
 race:
 	$(GO) test -race ./...
 
+# gofmt drift fails the target: `gofmt -l` lists every unformatted file
+# (testdata fixtures included) and prints nothing on a clean tree.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Project-specific static analysis (see LINT.md): determinism, Reset/
 # Snapshot completeness, annotated zero-alloc hot paths, park/timer

@@ -5,8 +5,9 @@
 // Usage:
 //
 //	reproduce [-skip-ablations] [-csv] [-j N] [-bench-json FILE]
-//	          [-scaling=false] [-scale-pes 3,64,256,1024] [-scheduler ladder|heap]
 //	          [-fabric ntb-ring,pcie-switch,cxl]
+//
+// Engine scaling with ring size is measured by cmd/scaleperf.
 package main
 
 import (
@@ -19,7 +20,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -27,7 +27,6 @@ import (
 	"repro/internal/benchparse"
 	"repro/internal/fabric"
 	"repro/internal/model"
-	"repro/internal/sim"
 )
 
 // figureMetric is the host-side cost of producing one figure group.
@@ -36,20 +35,6 @@ type figureMetric struct {
 	WallSeconds   float64 `json:"wall_s"`
 	Worlds        uint64  `json:"worlds"`
 	VirtualEvents uint64  `json:"virtual_events"`
-}
-
-// scalePoint is one ring-size measurement of the scaling sweep: the
-// deterministic work done (worlds, virtual events) and the host-side
-// cost of doing it. Wall-clock fields vary run to run by design.
-type scalePoint struct {
-	PEs           int     `json:"pes"`
-	Scheduler     string  `json:"scheduler"`
-	Worlds        uint64  `json:"worlds"`
-	VirtualEvents uint64  `json:"virtual_events"`
-	WallSeconds   float64 `json:"wall_s"`
-	EventsPerSec  float64 `json:"events_per_s"`
-	WorldsPerSec  float64 `json:"worlds_per_s"`
-	NsPerEvent    float64 `json:"ns_per_event"`
 }
 
 // forkABResult is the interleaved fork on/off A/B over the prefix-heavy
@@ -69,13 +54,8 @@ type forkABResult struct {
 type benchReport struct {
 	Parallelism int            `json:"parallelism"`
 	GoMaxProcs  int            `json:"gomaxprocs"`
-	Scheduler   string         `json:"scheduler"`
 	WorldFork   bool           `json:"world_fork"`
 	Figures     []figureMetric `json:"figures"`
-	// Scaling is the ring-size sweep (-scaling): engine throughput vs PE
-	// count under the selected scheduler, plus a heap-scheduler baseline
-	// at the smallest ring for per-event comparison.
-	Scaling []scalePoint `json:"scaling,omitempty"`
 	// ForkAB is the -fork-ab measurement (nil when skipped).
 	ForkAB *forkABResult `json:"fork_ab,omitempty"`
 	// Fork records what the snapshot-fork path did during the run.
@@ -110,25 +90,10 @@ func main() {
 	forkAB := flag.Int("fork-ab", 0, "run an interleaved fork on/off A/B over this many prefix-heavy probe points (0 skips)")
 	benchJSON := flag.String("bench-json", "", "write machine-readable run metrics (per-figure wall clock, worlds/s, allocs/op) to this file")
 	benchInput := flag.String("bench-input", "", "`go test -bench -benchmem` output to fold into the -bench-json benchmarks section")
-	scaling := flag.Bool("scaling", true, "run the ring-size scaling sweep (events/s and worlds/s vs PE count)")
-	scalePEs := flag.String("scale-pes", "3,16,64,256,1024", "comma-separated ring sizes for the scaling sweep")
-	scaleReps := flag.Int("scale-reps", 2, "measured worlds per scaling point (an unmeasured warm-up world per point precedes them)")
-	schedName := flag.String("scheduler", "ladder", "event scheduler for all simulation worlds: ladder or heap")
 	fabricList := flag.String("fabric", "ntb-ring,pcie-switch,cxl", "comma-separated fabric backends for the cross-fabric figure (E6): ntb-ring, ntb-pair, pcie-switch, cxl")
 	flag.Parse()
 	bench.SetParallelism(*par)
 	bench.SetWorldFork(*fork)
-	sched, err := sim.ParseScheduler(*schedName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "reproduce:", err)
-		os.Exit(2)
-	}
-	sim.SetDefaultScheduler(sched)
-	pes, err := parsePEs(*scalePEs)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "reproduce:", err)
-		os.Exit(2)
-	}
 	fabKinds, err := parseFabrics(*fabricList)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "reproduce:", err)
@@ -198,13 +163,12 @@ func main() {
 	fmt.Printf("platform profile: PCIe Gen%d x%d, wire %.2f GB/s, DMA engine %.2f GB/s\n",
 		mp.Gen, mp.Lanes, mp.EffectiveWireBW()/1e9, mp.DMAEngineBW/1e9)
 	onOff := map[bool]string{true: "on", false: "off"}
-	fmt.Printf("parallel runner: %d workers (independent worlds only; virtual time is unaffected), snapshot fork %s, scheduler %s\n\n",
-		bench.Parallelism(), onOff[bench.WorldForkEnabled()], sched)
+	fmt.Printf("parallel runner: %d workers (independent worlds only; virtual time is unaffected), snapshot fork %s\n\n",
+		bench.Parallelism(), onOff[bench.WorldForkEnabled()])
 
 	report := benchReport{
 		Parallelism: bench.Parallelism(),
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		Scheduler:   sched.String(),
 		WorldFork:   bench.WorldForkEnabled(),
 	}
 
@@ -254,10 +218,6 @@ func main() {
 		timed("E3", one(func() *bench.Figure { return bench.RunAppKernels(mp) }))
 		timed("E5", one(func() *bench.Figure { return bench.RunCollectiveLatency(mp) }))
 		fmt.Println(bench.RunBreakdown(mp))
-	}
-
-	if *scaling {
-		report.Scaling = runScaling(mp, pes, *scaleReps, sched)
 	}
 
 	if *forkAB > 0 {
@@ -365,60 +325,6 @@ func runForkAB(mp *model.Params, points int) *forkABResult {
 	return res
 }
 
-// runScaling sweeps the scaling workload over the requested ring sizes
-// under the selected scheduler, then repeats the smallest ring under the
-// heap scheduler as the per-event baseline the ladder is judged against.
-// Results are printed as a table and returned for the bench report.
-func runScaling(mp *model.Params, pes []int, reps int, sched sim.SchedulerKind) []scalePoint {
-	// Every line carries the [scale] prefix: the sweep's wall-clock
-	// columns are host-side and nondeterministic, and the prefix lets
-	// output-determinism diffs filter them like the "s wall]" lines.
-	fmt.Printf("[scale] ring scaling sweep (%d world(s) per point; simulated work deterministic, wall clock host-side)\n", reps)
-	fmt.Printf("[scale] %6s %6s %8s %16s %9s %14s %10s %10s\n",
-		"pes", "sched", "worlds", "virtual events", "wall s", "events/s", "worlds/s", "ns/event")
-	measure := func(n int, kind sim.SchedulerKind) scalePoint {
-		sim.SetDefaultScheduler(kind)
-		// One unmeasured warm-up world per point: it builds this shape's
-		// prefix snapshot and warms the world pool before the counters
-		// are sampled, so every point records exactly reps worlds. (The
-		// ladder points used to record reps or reps+1 depending on
-		// whether an earlier figure happened to have built the same
-		// shape — an inconsistency archived into BENCH.json.)
-		bench.ScaleWorkload(mp, n, 4096)
-		w0, e0 := bench.WorldsSimulated(), bench.VirtualEvents()
-		t0 := time.Now()
-		for r := 0; r < reps; r++ {
-			bench.ScaleWorkload(mp, n, 4096)
-		}
-		wall := time.Since(t0).Seconds()
-		worlds, events := bench.WorldsSimulated()-w0, bench.VirtualEvents()-e0
-		pt := scalePoint{
-			PEs:           n,
-			Scheduler:     kind.String(),
-			Worlds:        worlds,
-			VirtualEvents: events,
-			WallSeconds:   wall,
-			EventsPerSec:  float64(events) / wall,
-			WorldsPerSec:  float64(worlds) / wall,
-			NsPerEvent:    wall * 1e9 / float64(events),
-		}
-		fmt.Printf("[scale] %6d %6s %8d %16d %9.3f %14.0f %10.2f %10.1f\n",
-			pt.PEs, pt.Scheduler, pt.Worlds, pt.VirtualEvents, pt.WallSeconds,
-			pt.EventsPerSec, pt.WorldsPerSec, pt.NsPerEvent)
-		return pt
-	}
-	var points []scalePoint
-	for _, n := range pes {
-		points = append(points, measure(n, sched))
-	}
-	if sched != sim.SchedulerHeap {
-		points = append(points, measure(pes[0], sim.SchedulerHeap))
-	}
-	sim.SetDefaultScheduler(sched)
-	fmt.Println()
-	return points
-}
-
 // parseFabrics validates the -fabric list at the command layer so a
 // typoed backend name is a flag error naming the valid kinds, not a
 // mid-run panic.
@@ -439,28 +345,4 @@ func parseFabrics(list string) ([]fabric.Kind, error) {
 		return nil, fmt.Errorf("-fabric: empty backend list")
 	}
 	return kinds, nil
-}
-
-// parsePEs validates the scaling axis at the command layer so a bad
-// ring size is a flag error, not a mid-run panic.
-func parsePEs(list string) ([]int, error) {
-	var pes []int
-	for _, tok := range strings.Split(list, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		n, err := strconv.Atoi(tok)
-		if err != nil {
-			return nil, fmt.Errorf("-scale-pes: %q is not a ring size", tok)
-		}
-		if n < 2 || n > fabric.MaxHosts {
-			return nil, fmt.Errorf("-scale-pes: ring size %d out of range [2, %d]", n, fabric.MaxHosts)
-		}
-		pes = append(pes, n)
-	}
-	if len(pes) == 0 {
-		return nil, fmt.Errorf("-scale-pes: empty sweep")
-	}
-	return pes, nil
 }

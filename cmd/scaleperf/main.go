@@ -1,17 +1,20 @@
 // Command scaleperf measures how the simulation engine scales with ring
 // size: it runs the bench package's neighbour-put + barrier workload at
 // each requested PE count and reports host-side throughput (events/s,
-// worlds/s) per point. All simulated numbers stay deterministic; only
-// the wall-clock denominators here vary between runs.
+// worlds/s) per point. It is the repository's one scaling driver. All
+// simulated numbers stay deterministic; only the wall-clock denominators
+// here vary between runs.
 //
 // Usage:
 //
-//	scaleperf [-pes 3,16,64,256,1024] [-reps N] [-scheduler ladder|heap] [-put-bytes N]
+//	scaleperf [-pes 3,16,64,256,1024] [-reps N] [-put-bytes N]
 //	          [-fabric ntb-ring|pcie-switch|cxl]
 //
-// The printed "virtual end" column is each world's final virtual time;
-// it is identical run over run, and only the wall-clock columns may
-// change.
+// Each point first runs one unmeasured world, which builds the shape's
+// world and warm-up snapshot, so every row counts exactly -reps worlds
+// and its wall time excludes construction. The printed "virtual end"
+// column is each world's final virtual time; it is identical run over
+// run, and only the wall-clock columns may change.
 package main
 
 import (
@@ -31,8 +34,7 @@ import (
 
 func main() {
 	pesFlag := flag.String("pes", "3,16,64,256,1024", "comma-separated ring sizes to sweep")
-	reps := flag.Int("reps", 3, "worlds to run per point (first warms the pool)")
-	schedName := flag.String("scheduler", "ladder", "event scheduler: ladder or heap")
+	reps := flag.Int("reps", 3, "measured worlds per point (an unmeasured warm-up world per point precedes them)")
 	putBytes := flag.Int("put-bytes", 4096, "payload each PE puts to its right neighbour")
 	fabricName := flag.String("fabric", "ntb-ring", "fabric backend to scale over: ntb-ring, pcie-switch, or cxl")
 	flag.Parse()
@@ -47,11 +49,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "scaleperf:", err)
 		os.Exit(2)
 	}
-	sched, err := sim.ParseScheduler(*schedName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scaleperf:", err)
-		os.Exit(2)
-	}
 	if *reps < 1 {
 		fmt.Fprintf(os.Stderr, "scaleperf: -reps=%d: need at least 1 rep\n", *reps)
 		os.Exit(2)
@@ -60,15 +57,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "scaleperf: -put-bytes=%d: need a positive payload\n", *putBytes)
 		os.Exit(2)
 	}
-	sim.SetDefaultScheduler(sched)
 	bench.SetFabric(kind)
 
 	par := model.Default()
-	fmt.Printf("%s scaling sweep: scheduler=%s reps=%d put-bytes=%d gomaxprocs=%d\n\n",
-		kind, sched, *reps, *putBytes, runtime.GOMAXPROCS(0))
+	fmt.Printf("%s scaling sweep: reps=%d put-bytes=%d gomaxprocs=%d\n\n",
+		kind, *reps, *putBytes, runtime.GOMAXPROCS(0))
 	fmt.Printf("%6s %8s %16s %15s %9s %14s %10s %10s\n",
 		"pes", "worlds", "virtual events", "virtual end", "wall s", "events/s", "worlds/s", "ns/event")
 	for _, n := range pes {
+		bench.ScaleWorkload(par, n, *putBytes)
 		w0, e0 := bench.WorldsSimulated(), bench.VirtualEvents()
 		t0 := time.Now()
 		var end sim.Time

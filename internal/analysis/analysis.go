@@ -49,7 +49,7 @@ type Pass struct {
 	TypesInfo *types.Info
 
 	// Engine is the cross-package fact layer built over the whole load
-	// (call graph, declaration index, implementer lookup, memo space).
+	// (declaration index, type and implementer lookup, memo space).
 	// It is shared by every pass in one Run and safe for concurrent use.
 	Engine *Engine
 

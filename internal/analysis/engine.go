@@ -7,26 +7,17 @@ import (
 )
 
 // Engine is the cross-package fact layer shared by every analyzer in one
-// Run: a lightweight static call graph over all loaded packages, a
-// declaration index that resolves a types.Func to its syntax anywhere in
-// the package set, interface-implementer lookup, and a memo space where
-// analyzers cache whole-program results so per-package passes stay cheap
-// and deterministic. It is built once per Run (single-package fixture
+// Run: a declaration index that resolves a types.Func to its syntax
+// anywhere in the loaded package set, named-type and
+// interface-implementer lookup, and a memo space where analyzers cache
+// whole-program results so per-package passes stay cheap and
+// deterministic. It is built once per Run (single-package fixture
 // loads included) and is read-only afterwards, so parallel per-package
 // passes may share it freely; Memo serialises the one mutable surface.
 type Engine struct {
 	pkgs []*Package
 
-	decl    map[*types.Func]*ast.FuncDecl
-	declPkg map[*types.Func]*Package
-
-	// callees holds the static call graph: for each declared function,
-	// the declared functions and methods it calls directly, in source
-	// order. Interface-method callees are recorded as the interface's
-	// *types.Func; Reachable expands them to every implementation found
-	// in the package set.
-	callees map[*types.Func][]*types.Func
-	callers map[*types.Func][]CallSite
+	decl map[*types.Func]*ast.FuncDecl
 
 	// dirs holds each package's waiver-directive index, shared with the
 	// per-package passes so directives are scanned once per load.
@@ -36,26 +27,15 @@ type Engine struct {
 	memo map[string]any
 }
 
-// CallSite is one static call of a declared function: the calling
-// declaration and the call expression inside it.
-type CallSite struct {
-	Caller *types.Func
-	Call   *ast.CallExpr
-	Pkg    *Package
-}
-
 // NewEngine builds the fact layer over the given packages. Packages are
 // indexed in slice order (the loader sorts by import path), files and
 // declarations in source order, so every derived list is deterministic.
 func NewEngine(pkgs []*Package) *Engine {
 	e := &Engine{
-		pkgs:    pkgs,
-		decl:    map[*types.Func]*ast.FuncDecl{},
-		declPkg: map[*types.Func]*Package{},
-		callees: map[*types.Func][]*types.Func{},
-		callers: map[*types.Func][]CallSite{},
-		dirs:    map[string]directiveIndex{},
-		memo:    map[string]any{},
+		pkgs: pkgs,
+		decl: map[*types.Func]*ast.FuncDecl{},
+		dirs: map[string]directiveIndex{},
+		memo: map[string]any{},
 	}
 	for _, pkg := range pkgs {
 		e.dirs[pkg.Path] = indexDirectives(pkg.Fset, pkg.Files)
@@ -70,71 +50,16 @@ func NewEngine(pkgs []*Package) *Engine {
 					continue
 				}
 				e.decl[fn] = fd
-				e.declPkg[fn] = pkg
-			}
-		}
-	}
-	// Second pass: edges. Done after the declaration index is complete
-	// so intra-load cross-package edges resolve in either direction.
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				e.collectEdges(pkg, fn, fd.Body)
 			}
 		}
 	}
 	return e
 }
 
-// collectEdges records one declaration's outgoing static calls,
-// including calls made inside its function literals (a closure's calls
-// belong to the declaration that created it).
-func (e *Engine) collectEdges(pkg *Package, caller *types.Func, body *ast.BlockStmt) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		var callee *types.Func
-		switch fun := ast.Unparen(call.Fun).(type) {
-		case *ast.Ident:
-			callee, _ = pkg.Info.Uses[fun].(*types.Func)
-		case *ast.SelectorExpr:
-			callee, _ = pkg.Info.Uses[fun.Sel].(*types.Func)
-		}
-		if callee == nil {
-			return true
-		}
-		e.callees[caller] = append(e.callees[caller], callee)
-		e.callers[callee] = append(e.callers[callee], CallSite{Caller: caller, Call: call, Pkg: pkg})
-		return true
-	})
-}
-
-// Packages returns the engine's package set in index order.
-func (e *Engine) Packages() []*Package { return e.pkgs }
-
-// Decl resolves a function or method to its declaration and declaring
-// package anywhere in the loaded set; (nil, nil) for functions outside
-// it (standard library, interface methods).
-func (e *Engine) Decl(fn *types.Func) (*ast.FuncDecl, *Package) {
-	return e.decl[fn], e.declPkg[fn]
-}
-
-// Callees returns the functions fn statically calls, in source order.
-func (e *Engine) Callees(fn *types.Func) []*types.Func { return e.callees[fn] }
-
-// Callers returns every static call site of fn across the package set,
-// in package/file/source order.
-func (e *Engine) Callers(fn *types.Func) []CallSite { return e.callers[fn] }
+// Decl resolves a function or method to its declaration anywhere in the
+// loaded set; nil for functions outside it (standard library, interface
+// methods).
+func (e *Engine) Decl(fn *types.Func) *ast.FuncDecl { return e.decl[fn] }
 
 // NamedTypes returns every named type declared in the package set,
 // sorted by package path then type name.
@@ -194,57 +119,10 @@ func (e *Engine) Implementers(iface *types.Interface) []*types.Named {
 func (e *Engine) MethodDecl(named *types.Named, name string) *ast.FuncDecl {
 	for i := 0; i < named.NumMethods(); i++ {
 		if m := named.Method(i); m.Name() == name {
-			d, _ := e.Decl(m)
-			return d
+			return e.Decl(m)
 		}
 	}
 	return nil
-}
-
-// Reachable returns the set of declared functions reachable from roots
-// over the static call graph. Calls through interface methods fan out
-// to every implementation of that method found in the package set — the
-// conservative choice for invariant checking.
-func (e *Engine) Reachable(roots []*types.Func) map[*types.Func]bool {
-	seen := map[*types.Func]bool{}
-	queue := append([]*types.Func(nil), roots...)
-	for len(queue) > 0 {
-		fn := queue[0]
-		queue = queue[1:]
-		if fn == nil || seen[fn] {
-			continue
-		}
-		seen[fn] = true
-		for _, callee := range e.callees[fn] {
-			targets := []*types.Func{callee}
-			if sig, ok := callee.Type().(*types.Signature); ok && sig.Recv() != nil {
-				if iface, ok := sig.Recv().Type().Underlying().(*types.Interface); ok {
-					targets = append(targets, e.implementations(iface, callee.Name())...)
-				}
-			}
-			for _, t := range targets {
-				if !seen[t] {
-					queue = append(queue, t)
-				}
-			}
-		}
-	}
-	return seen
-}
-
-// implementations returns the concrete methods implementing an
-// interface method, across the package set.
-func (e *Engine) implementations(iface *types.Interface, method string) []*types.Func {
-	var out []*types.Func
-	for _, named := range e.Implementers(iface) {
-		ms := types.NewMethodSet(types.NewPointer(named))
-		for i := 0; i < ms.Len(); i++ {
-			if fn, ok := ms.At(i).Obj().(*types.Func); ok && fn.Name() == method {
-				out = append(out, fn)
-			}
-		}
-	}
-	return out
 }
 
 // Memo returns the cached value under key, building it under the

@@ -16,93 +16,6 @@ func loadFixtureEngine(t *testing.T, name string) (*Engine, *Package) {
 	return NewEngine([]*Package{pkg}), pkg
 }
 
-// lookupFunc resolves a package-scope function by name.
-func lookupFunc(t *testing.T, pkg *Package, name string) *types.Func {
-	t.Helper()
-	fn, ok := pkg.Types.Scope().Lookup(name).(*types.Func)
-	if !ok {
-		t.Fatalf("fixture has no function %s", name)
-	}
-	return fn
-}
-
-// lookupMethod resolves a named type's method.
-func lookupMethod(t *testing.T, pkg *Package, typeName, method string) *types.Func {
-	t.Helper()
-	tn, ok := pkg.Types.Scope().Lookup(typeName).(*types.TypeName)
-	if !ok {
-		t.Fatalf("fixture has no type %s", typeName)
-	}
-	named := tn.Type().(*types.Named)
-	for i := 0; i < named.NumMethods(); i++ {
-		if m := named.Method(i); m.Name() == method {
-			return m
-		}
-	}
-	t.Fatalf("type %s has no method %s", typeName, method)
-	return nil
-}
-
-// TestEngineCallGraph checks the decl index and the callee/caller edges
-// over the engine fixture: write calls stamp; stamp's only caller is
-// write.
-func TestEngineCallGraph(t *testing.T) {
-	e, pkg := loadFixtureEngine(t, "engine")
-
-	stamp := lookupFunc(t, pkg, "stamp")
-	write := lookupMethod(t, pkg, "Port", "write")
-
-	if fd, p := e.Decl(stamp); fd == nil || p != pkg {
-		t.Fatalf("Decl(stamp) = (%v, %v), want fixture declaration", fd, p)
-	}
-
-	foundEdge := false
-	for _, callee := range e.Callees(write) {
-		if callee == stamp {
-			foundEdge = true
-		}
-	}
-	if !foundEdge {
-		t.Errorf("Callees(write) is missing stamp")
-	}
-
-	callers := e.Callers(stamp)
-	if len(callers) != 1 || callers[0].Caller != write {
-		t.Errorf("Callers(stamp) = %v, want exactly write", callers)
-	}
-}
-
-// TestEngineReachable checks transitive closure (register → check →
-// admit) and that closures' calls are attributed to their declaring
-// function (deferred reaches ring only through the literal it passes
-// to After).
-func TestEngineReachable(t *testing.T) {
-	e, pkg := loadFixtureEngine(t, "engine")
-
-	register := lookupMethod(t, pkg, "Port", "register")
-	admit := lookupMethod(t, pkg, "Port", "admit")
-	stamp := lookupFunc(t, pkg, "stamp")
-
-	reach := e.Reachable([]*types.Func{register})
-	if !reach[admit] {
-		t.Errorf("admit not reachable from register")
-	}
-	if reach[stamp] {
-		t.Errorf("stamp should not be reachable from register")
-	}
-
-	deferred := lookupMethod(t, pkg, "Port", "deferred")
-	ring := lookupMethod(t, pkg, "Port", "ring")
-	after := lookupMethod(t, pkg, "Sim", "After")
-	reach = e.Reachable([]*types.Func{deferred})
-	if !reach[after] {
-		t.Errorf("After not reachable from deferred")
-	}
-	if !reach[ring] {
-		t.Errorf("ring not reachable from deferred (closure edges lost?)")
-	}
-}
-
 // TestEngineImplementers checks interface lookup over the
 // fabriccontract fixture: the full implementers satisfy Link, the
 // partial ones do not.
@@ -133,7 +46,7 @@ func TestEngineImplementers(t *testing.T) {
 
 // TestEngineMemo checks the memo builds once and is shared.
 func TestEngineMemo(t *testing.T) {
-	e, _ := loadFixtureEngine(t, "engine")
+	e, _ := loadFixtureEngine(t, "fabriccontract")
 	builds := 0
 	build := func() any { builds++; return builds }
 	if v := e.Memo("test", build); v.(int) != 1 {

@@ -84,8 +84,8 @@ var snapCache struct {
 // mutates its params object between points can never be served a
 // stale-prefix snapshot — the mutated value is a different key (the
 // same guarantee checkoutWorld enforces for pooled worlds).
-func snapshotFingerprint(par *model.Params, n int, opts core.Options, sched sim.SchedulerKind, fab fabric.Kind, prefixKey string, seed int64) string {
-	return worldFingerprint(par, n, opts, sched, fab) + fmt.Sprintf("|prefix=%s|seed=%d", prefixKey, seed)
+func snapshotFingerprint(par *model.Params, n int, opts core.Options, fab fabric.Kind, prefixKey string, seed int64) string {
+	return worldFingerprint(par, n, opts, fab) + fmt.Sprintf("|prefix=%s|seed=%d", prefixKey, seed)
 }
 
 // DrainSnapshots discards every cached prefix snapshot.
@@ -118,7 +118,7 @@ func storeSnapshot(key string, snap *core.WorldSnapshot) {
 // prefix, capturing it on first use by running the prefix on a pooled
 // (or fresh) world. A nil prefix is the bare shmem_init warm-up.
 func prefixSnapshot(label string, par *model.Params, n int, opts core.Options, prefixKey string, seed int64, prefix func(p *sim.Proc, pe *core.PE)) *core.WorldSnapshot {
-	key := snapshotFingerprint(par, n, opts, sim.DefaultScheduler(), Fabric(), prefixKey, seed)
+	key := snapshotFingerprint(par, n, opts, Fabric(), prefixKey, seed)
 	if snap := cachedSnapshot(key); snap != nil {
 		return snap
 	}

@@ -13,8 +13,8 @@ import (
 // sweep drives the same runtime at 3 → 1024 PEs to measure how the
 // simulator itself scales (events/s, worlds/s) as the world grows. The
 // workload here is deterministic and wall-clock free — host-side timing
-// lives in the cmd layer (cmd/scaleperf, cmd/reproduce -scaling), where
-// wall-clock reads are allowed.
+// lives in cmd/scaleperf, the one scaling driver, where wall-clock reads
+// are allowed.
 
 // ScalePEs is the default PE-count ladder for the scaling sweep.
 func ScalePEs() []int { return []int{3, 16, 64, 256, 1024} }

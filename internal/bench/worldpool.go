@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/model"
-	"repro/internal/sim"
 )
 
 // The world pool. PR 2's profiling showed world construction dominated by
@@ -52,14 +51,11 @@ var worldPool struct {
 
 // worldFingerprint keys the pool by everything that shapes a world: the
 // full params value (params are mutated per point by some sweeps, so
-// pointer identity is useless), host count, runtime options, the
-// event-scheduler kind the world's simulator was built with — an A/B
-// sweep over schedulers must not hand a heap-scheduled world to a
-// ladder-scheduled measurement — and the fabric backend, so a
-// cross-fabric sweep never recycles a switch-topology world into a ring
-// measurement.
-func worldFingerprint(par *model.Params, n int, opts core.Options, sched sim.SchedulerKind, fab fabric.Kind) string {
-	return fmt.Sprintf("%+v|n=%d|%+v|sched=%s|fab=%s", *par, n, opts, sched, fab)
+// pointer identity is useless), host count, runtime options, and the
+// fabric backend, so a cross-fabric sweep never recycles a
+// switch-topology world into a ring measurement.
+func worldFingerprint(par *model.Params, n int, opts core.Options, fab fabric.Kind) string {
+	return fmt.Sprintf("%+v|n=%d|%+v|fab=%s", *par, n, opts, fab)
 }
 
 // SetWorldPool enables or disables world pooling for subsequent
@@ -113,7 +109,7 @@ func checkoutWorld(par *model.Params, n int, opts core.Options) (*core.World, bo
 	if !worldPoolOn.Load() {
 		return nil, false
 	}
-	key := worldFingerprint(par, n, opts, sim.DefaultScheduler(), Fabric())
+	key := worldFingerprint(par, n, opts, Fabric())
 	worldPool.mu.Lock()
 	var w *core.World
 	if ws := worldPool.worlds[key]; len(ws) > 0 {
@@ -127,7 +123,7 @@ func checkoutWorld(par *model.Params, n int, opts core.Options) (*core.World, bo
 		worldPool.misses++
 	}
 	worldPool.mu.Unlock()
-	if w != nil && worldFingerprint(w.Cluster.Par, n, opts, w.Cluster.Sim.Scheduler(), w.Cluster.Kind()) != key {
+	if w != nil && worldFingerprint(w.Cluster.Par, n, opts, w.Cluster.Kind()) != key {
 		w.Cluster.Sim.Shutdown()
 		return nil, true
 	}
@@ -141,7 +137,7 @@ func checkinWorld(w *core.World, n int, opts core.Options) {
 		w.Cluster.Sim.Shutdown()
 		return
 	}
-	key := worldFingerprint(w.Cluster.Par, n, opts, w.Cluster.Sim.Scheduler(), w.Cluster.Kind())
+	key := worldFingerprint(w.Cluster.Par, n, opts, w.Cluster.Kind())
 	worldPool.mu.Lock()
 	// Admit if both budgets hold; a world bigger than the whole PE
 	// budget is still admitted when the pool is empty, so thousand-PE

@@ -19,10 +19,10 @@ const MaxCXLHosts = 256
 // operations on each host's memory, and the delivery handlers the links
 // register at Start.
 type cxlState struct {
-	server *pcie.Server  // reset: keep — interned flow-network server
+	server *pcie.Server    // reset: keep — interned flow-network server
 	routes [][]*pcie.Route // reset: keep — interned [src][dst] paths
-	mu     []*sim.Mutex  // reset: keep — free after any clean run
-	links  []*cxlLink    // reset: keep — construction identity; links reset individually
+	mu     []*sim.Mutex    // reset: keep — free after any clean run
+	links  []*cxlLink      // reset: keep — construction identity; links reset individually
 }
 
 // Reset returns the shared fabric to power-on state. All of it is

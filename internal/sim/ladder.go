@@ -1,16 +1,13 @@
 package sim
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
-// This file implements the kernel's default event queue: a ladder queue
-// (Tang, Goh & Thng, "Ladder queue: An O(1) priority queue structure for
+// This file implements the kernel's event queue: a ladder queue (Tang,
+// Goh & Thng, "Ladder queue: An O(1) priority queue structure for
 // large-scale discrete event simulation", ACM TOMACS 2005), adapted to
-// this kernel's guarantees. The binary heap in heap.go remains as the
-// reference implementation, selectable via NewWith(SchedulerHeap) for
-// differential testing.
+// this kernel's guarantees. The binary heap in heap.go is its bottom
+// tier and, on its own, the (t, seq) reference the differential tests
+// compare it against.
 //
 // Structure. Pending events live in one of three tiers:
 //
@@ -41,68 +38,34 @@ import (
 // two events with equal t always land in the same bucket, move to the
 // bottom heap in the same transfer, and are ordered there by seq —
 // dispatch order is therefore bit-identical to the reference heap's
-// (t, seq) order. The differential tests in ladder_test.go and
-// internal/bench assert exactly this.
+// (t, seq) order. The differential tests in ladder_test.go (queue level)
+// and scheddiff_test.go (whole simulator) assert exactly this.
 //
 // Small queues — and every queue starts small — take a fast path: while
 // the rungs and top are empty and the bottom holds fewer than
 // ladderBottomMax events, enqueues go straight into the bottom heap, so
 // a 3-PE world pays nothing for the machinery a 1024-PE world needs.
 
-// eventQueue is the scheduler's pending-event store. Implementations
-// must dispatch in exact (t, seq) order and support pooled reuse via
-// reset (retaining backing storage, releasing event references).
-type eventQueue interface {
-	Len() int
-	push(e event)
-	pop() event
-	peek() *event
-	reset()
-}
-
-// SchedulerKind selects the event-queue implementation behind a
-// Simulator.
+// SchedulerKind, SetDefaultScheduler and DefaultScheduler exist only for
+// perfbench's pinned engine-config report: the ladder queue is the only
+// event queue, so SetDefaultScheduler accepts only SchedulerLadder and
+// DefaultScheduler always returns it.
 type SchedulerKind int32
 
-const (
-	// SchedulerLadder is the default: the ladder queue above, O(1)
-	// amortised under the heavy pending-event load of many-PE worlds.
-	SchedulerLadder SchedulerKind = iota
-	// SchedulerHeap is the reference binary min-heap, kept for
-	// differential testing and as a fallback.
-	SchedulerHeap
-)
+// SchedulerLadder is the ladder queue above.
+const SchedulerLadder SchedulerKind = 0
 
-func (k SchedulerKind) String() string {
-	if k == SchedulerHeap {
-		return "heap"
-	}
-	return "ladder"
-}
+func (k SchedulerKind) String() string { return "ladder" }
 
-// ParseScheduler converts a flag value ("ladder" or "heap") into a
-// SchedulerKind.
-func ParseScheduler(name string) (SchedulerKind, error) {
-	switch name {
-	case "ladder":
-		return SchedulerLadder, nil
-	case "heap":
-		return SchedulerHeap, nil
-	default:
-		return SchedulerLadder, fmt.Errorf("sim: unknown scheduler %q (want \"ladder\" or \"heap\")", name)
+// SetDefaultScheduler panics unless k is SchedulerLadder.
+func SetDefaultScheduler(k SchedulerKind) {
+	if k != SchedulerLadder {
+		panic(fmt.Sprintf("sim: SetDefaultScheduler(%d): the ladder is the only event queue", k))
 	}
 }
 
-// defaultScheduler backs New()'s queue choice; harness flags flip it
-// process-wide before any worlds are built.
-var defaultScheduler atomic.Int32
-
-// SetDefaultScheduler selects the event queue New() gives subsequent
-// simulators. Existing simulators are unaffected.
-func SetDefaultScheduler(k SchedulerKind) { defaultScheduler.Store(int32(k)) }
-
-// DefaultScheduler reports the event queue New() currently selects.
-func DefaultScheduler() SchedulerKind { return SchedulerKind(defaultScheduler.Load()) }
+// DefaultScheduler returns SchedulerLadder; see SetDefaultScheduler.
+func DefaultScheduler() SchedulerKind { return SchedulerLadder }
 
 // Ladder geometry. bottomMax bounds the sorted front (and gates the
 // small-queue fast path); spawnMax is the bucket size above which a
@@ -141,8 +104,8 @@ func (r *rung) insert(e event) {
 	r.buckets[idx] = append(r.buckets[idx], e)
 }
 
-// ladderQueue implements eventQueue; see the file comment for the
-// design. The zero value is an empty queue.
+// ladderQueue is the simulator's pending-event store; see the file
+// comment for the design. The zero value is an empty queue.
 type ladderQueue struct {
 	size        int
 	bottom      eventHeap

@@ -13,24 +13,17 @@ import (
 // time; each hands control back whenever it blocks on a kernel primitive
 // (Sleep, Queue.Pop, Resource.Acquire, Cond.Wait, ...).
 type Simulator struct {
-	now    Time
-	seq    uint64
-	sched  SchedulerKind // reset: keep; snap: keep — construction identity
-	events eventQueue    // points at ladderQ or heapQ below
+	now Time
+	seq uint64
 
-	// The queue backings live inside the Simulator so selecting one via
-	// the interface field costs no extra allocation. Only the one events
-	// points at is ever non-empty; Reset rewinds it through the
-	// interface.
-	ladderQ ladderQueue // reset: keep; snap: keep — reset via events; empty at quiescence
-	heapQ   eventHeap   // reset: keep; snap: keep — reset via events; empty at quiescence
+	events ladderQueue // reset: keep; snap: keep — rewound by Reset/Restore; empty at quiescence
 
 	// ready is the same-timestamp fast path: events scheduled for the
-	// current instant never touch the heap. Because seq grows
+	// current instant never touch the queue. Because seq grows
 	// monotonically, any event scheduled at the current time sorts after
-	// every event already in the heap at that time, so a plain FIFO
-	// (drained only once the heap holds nothing at now) preserves the
-	// exact (t, seq) global order the heap alone would produce.
+	// every event already queued at that time, so a plain FIFO (drained
+	// only once the queue holds nothing at now) preserves the exact
+	// (t, seq) global order the queue alone would produce.
 	ready     []event
 	readyHead int
 
@@ -47,33 +40,15 @@ type Simulator struct {
 // unwinding the process.
 var errKilled = fmt.Errorf("sim: blocking call during Shutdown teardown")
 
-// New returns an empty simulator positioned at virtual time zero, using
-// the process-default scheduler (see SetDefaultScheduler).
+// New returns an empty simulator positioned at virtual time zero.
 func New() *Simulator {
-	return NewWith(DefaultScheduler())
-}
-
-// NewWith returns an empty simulator backed by the given event-queue
-// implementation. Dispatch order is identical for every kind; the choice
-// only affects host-side speed.
-func NewWith(kind SchedulerKind) *Simulator {
 	s := &Simulator{
-		sched: kind,
 		ready: make([]event, 0, 64),
 		procs: make(map[*Proc]struct{}),
 	}
-	if kind == SchedulerHeap {
-		s.heapQ.items = make([]event, 0, 128)
-		s.events = &s.heapQ
-	} else {
-		s.ladderQ.bottom.items = make([]event, 0, 128)
-		s.events = &s.ladderQ
-	}
+	s.events.bottom.items = make([]event, 0, 128)
 	return s
 }
-
-// Scheduler reports which event-queue implementation backs s.
-func (s *Simulator) Scheduler() SchedulerKind { return s.sched }
 
 // Now returns the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
@@ -220,7 +195,7 @@ loop:
 		next := s.events.peek()
 		switch {
 		case next != nil && next.t == s.now:
-			// Heap events at the current instant were scheduled before
+			// Queued events at the current instant were scheduled before
 			// time advanced here, so they precede everything in ready.
 			ev = s.events.pop()
 		case s.readyHead < len(s.ready):
@@ -296,7 +271,7 @@ func (s *Simulator) LiveProcs() int { return len(s.procs) }
 // and dispatchers remain installed. Everything else must have drained;
 // Reset panics if the simulator is running, was Shut down, captured a
 // panic, or still holds non-daemon processes or pending events. The event
-// heap's and ready queue's backing arrays are retained, so a reset
+// queue's and ready queue's backing arrays are retained, so a reset
 // allocates nothing.
 func (s *Simulator) Reset() {
 	s.assertQuiescent("Reset")
@@ -364,8 +339,6 @@ func (s *Simulator) Shutdown() {
 		<-done
 	}
 	s.procs = make(map[*Proc]struct{})
-	s.ladderQ = ladderQueue{}
-	s.heapQ = eventHeap{}
-	s.events = &s.heapQ
+	s.events = ladderQueue{}
 	s.ready, s.readyHead = nil, 0
 }

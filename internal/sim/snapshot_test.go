@@ -16,36 +16,34 @@ func phaseLoad(s *Simulator, procs, hops int, step Duration) {
 }
 
 func TestSnapshotRestoreContinuesBitIdentically(t *testing.T) {
-	for _, kind := range []SchedulerKind{SchedulerLadder, SchedulerHeap} {
-		orig := NewWith(kind)
-		phaseLoad(orig, 4, 16, 100)
-		if err := orig.Run(); err != nil {
-			t.Fatal(err)
-		}
-		snap := orig.Snapshot()
-		if snap.Now() != orig.Now() {
-			t.Fatalf("%v: snapshot time %v, sim at %v", kind, snap.Now(), orig.Now())
-		}
+	orig := New()
+	phaseLoad(orig, 4, 16, 100)
+	if err := orig.Run(); err != nil {
+		t.Fatal(err)
+	}
+	snap := orig.Snapshot()
+	if snap.Now() != orig.Now() {
+		t.Fatalf("snapshot time %v, sim at %v", snap.Now(), orig.Now())
+	}
 
-		// The forked kernel restored from the snapshot and the original
-		// continuing in place must execute the same future identically.
-		prefixEvents := orig.EventsExecuted()
-		fork := NewWith(kind)
-		fork.Restore(snap)
-		phaseLoad(orig, 3, 9, 77)
-		phaseLoad(fork, 3, 9, 77)
-		if err := orig.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if err := fork.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if orig.Now() != fork.Now() {
-			t.Fatalf("%v: continued sim at %v, forked sim at %v", kind, orig.Now(), fork.Now())
-		}
-		if got := orig.EventsExecuted() - prefixEvents; got != fork.EventsExecuted() {
-			t.Fatalf("%v: continued sim executed %d events past the snapshot, forked %d", kind, got, fork.EventsExecuted())
-		}
+	// The forked kernel restored from the snapshot and the original
+	// continuing in place must execute the same future identically.
+	prefixEvents := orig.EventsExecuted()
+	fork := New()
+	fork.Restore(snap)
+	phaseLoad(orig, 3, 9, 77)
+	phaseLoad(fork, 3, 9, 77)
+	if err := orig.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fork.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if orig.Now() != fork.Now() {
+		t.Fatalf("continued sim at %v, forked sim at %v", orig.Now(), fork.Now())
+	}
+	if got := orig.EventsExecuted() - prefixEvents; got != fork.EventsExecuted() {
+		t.Fatalf("continued sim executed %d events past the snapshot, forked %d", got, fork.EventsExecuted())
 	}
 }
 
